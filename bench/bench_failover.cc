@@ -12,7 +12,7 @@
 
 #include "common/bench_util.h"
 #include "common/experiment.h"
-#include "harness/vr_cluster.h"
+#include "harness/cluster.h"
 #include "object/kv_object.h"
 
 namespace cht::bench {
@@ -67,7 +67,7 @@ FailoverResult run(ExperimentResult& result, Duration crash_offset,
   out.reads_available = cluster.sim().now() - crash_at;
   out.consistent = *cluster.history().ops().back().response == "in-flight";
   if (observe) {
-    result.config("failover", cluster.config(), cluster.overrides());
+    result.config("failover", cluster.config(), cluster.options());
     result.observe("failover", cluster);
   }
   return out;
@@ -109,9 +109,9 @@ Duration vr_recovery(int isolated, std::uint64_t seed) {
   config.seed = seed;
   config.delta = kDelta;
   harness::VrCluster cluster(config, std::make_shared<object::KVObject>());
-  cluster.await_primary(Duration::seconds(5));
+  cluster.await_leader(Duration::seconds(5));
   cluster.run_for(Duration::seconds(1));
-  const int old_primary = cluster.primary();
+  const int old_primary = cluster.leader();
   for (int k = 1; k <= isolated; ++k) {
     cluster.sim().network().set_process_isolated(
         ProcessId((old_primary + k) % cluster.n()), true, cluster.n());
@@ -120,7 +120,7 @@ Duration vr_recovery(int isolated, std::uint64_t seed) {
   const RealTime crash_at = cluster.sim().now();
   cluster.sim().run_until(
       [&] {
-        const int p = cluster.primary();
+        const int p = cluster.leader();
         if (p < 0 || p == old_primary) return false;
         // Require an *effective* primary: one that can actually commit.
         for (int k = 1; k <= isolated; ++k) {

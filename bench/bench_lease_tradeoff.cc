@@ -68,7 +68,7 @@ TradeoffResult run(ExperimentResult& result, std::int64_t lease_multiple,
         cluster.sim().network().stats().sent_of(core::msg::kLeaseGrant) -
         before);
     const std::string label = "lease-" + std::to_string(lease_multiple) + "x";
-    result.config(label, cluster.config(), cluster.overrides());
+    result.config(label, cluster.config(), cluster.options());
     result.observe(label, cluster);
   }
 

@@ -29,7 +29,7 @@ double ours_per_period(ExperimentResult& result, int n, bool observe) {
   harness::Cluster cluster(config, std::make_shared<object::RegisterObject>());
   cluster.await_steady_leader(Duration::seconds(10));
   cluster.run_for(Duration::seconds(1));
-  const Duration window = cluster.core_config().lease_renew_interval * 20;
+  const Duration window = cluster.replica_config().lease_renew_interval * 20;
   const auto before =
       cluster.sim().network().stats().sent_of(core::msg::kLeaseGrant);
   cluster.run_for(window);
@@ -37,7 +37,7 @@ double ours_per_period(ExperimentResult& result, int n, bool observe) {
       cluster.sim().network().stats().sent_of(core::msg::kLeaseGrant) - before;
   if (observe) {
     const std::string label = "ours-n" + std::to_string(n);
-    result.config(label, cluster.config(), cluster.overrides());
+    result.config(label, cluster.config(), cluster.options());
     result.observe(label, cluster);
   }
   return static_cast<double>(grants) / 20.0;

@@ -63,7 +63,7 @@ Result run_core(ExperimentResult& result, int reads, core::ReadPolicy policy,
   cluster.run_for(Duration::seconds(1));
   const auto window = run_window(cluster, reads);
   if (!label.empty()) {
-    result.config(label, cluster.config(), cluster.overrides());
+    result.config(label, cluster.config(), cluster.options());
     result.observe(label, cluster);
   }
   return window;

@@ -77,7 +77,7 @@ bool demonstrate_violation(ExperimentResult& result, Duration delta) {
     const auto check =
         checker::check_linearizable(cluster.model(), cluster.history().ops());
     if (!check.linearizable) {
-      result.config("unsafe-local", cluster.config(), cluster.overrides());
+      result.config("unsafe-local", cluster.config(), cluster.options());
       return true;
     }
   }

@@ -57,7 +57,7 @@ metrics::LatencyRecorder run_core(ExperimentResult& result,
   cluster.await_steady_leader(Duration::seconds(10));
   cluster.run_for(Duration::seconds(2));
   drive(cluster, rng, result.scaled(400, 10));
-  result.config(label, cluster.config(), cluster.overrides());
+  result.config(label, cluster.config(), cluster.options());
   result.observe(label, cluster);
   const auto reads = split_latencies(cluster.model(), cluster.history()).reads;
   result.latency(label, reads);

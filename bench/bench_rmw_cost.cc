@@ -11,7 +11,7 @@
 
 #include "common/bench_util.h"
 #include "common/experiment.h"
-#include "harness/vr_cluster.h"
+#include "harness/cluster.h"
 #include "object/register_object.h"
 
 namespace cht::bench {
@@ -62,10 +62,9 @@ RmwResult measure(ClusterT& cluster, bool pipelined, int count) {
   return result;
 }
 
-template <class ClusterT, class AwaitFn>
-RmwResult run(ClusterT& cluster, AwaitFn await_ready, bool pipelined,
-              int count) {
-  await_ready();
+template <class ClusterT>
+RmwResult run(ClusterT& cluster, bool pipelined, int count) {
+  cluster.await_leader(Duration::seconds(10));
   cluster.run_for(Duration::seconds(1));
   return measure(cluster, pipelined, count);
 }
@@ -104,28 +103,20 @@ int main(int argc, char** argv) {
     {
       harness::Cluster cluster(net_config(3),
                                std::make_shared<object::RegisterObject>());
-      add_row(result, "ours", "ours" + suffix,
-              run(cluster,
-                  [&] { cluster.await_steady_leader(Duration::seconds(10)); },
-                  pipelined, count));
+      add_row(result, "ours", "ours" + suffix, run(cluster, pipelined, count));
       result.observe("ours" + suffix, cluster);
     }
     {
       harness::RaftCluster cluster(net_config(3),
                                    std::make_shared<object::RegisterObject>());
-      add_row(result, "raft", "raft" + suffix,
-              run(cluster,
-                  [&] { cluster.await_leader(Duration::seconds(10)); },
-                  pipelined, count));
+      add_row(result, "raft", "raft" + suffix, run(cluster, pipelined, count));
       result.observe("raft" + suffix, cluster);
     }
     {
       harness::VrCluster cluster(net_config(3),
                                  std::make_shared<object::RegisterObject>());
       add_row(result, "viewstamped replication", "vr" + suffix,
-              run(cluster,
-                  [&] { cluster.await_primary(Duration::seconds(10)); },
-                  pipelined, count));
+              run(cluster, pipelined, count));
       result.observe("vr" + suffix, cluster);
     }
     if (pipelined) {

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
                 "post-crash ops pend forever (liveness lost, safety kept)"});
     result.metric("majority_crash_safety_kept",
                   static_cast<std::int64_t>(full.linearizable ? 1 : 0));
-    result.config("majority-crash", cluster.config(), cluster.overrides());
+    result.config("majority-crash", cluster.config(), cluster.options());
     result.observe("majority-crash", cluster);
   }
 
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     const int victim = (leader + 1) % cluster.n();
     cluster.submit(leader, object::RegisterObject::write("old"));
     cluster.await_quiesce(Duration::seconds(5));
-    cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+    cluster.run_for(cluster.replica_config().lease_renew_interval * 3);
     cluster.sim().set_clock_offset(ProcessId(victim), Duration::seconds(-3600));
     cluster.sim().network().set_process_isolated(ProcessId(victim), true,
                                                  cluster.n());
@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
     if (!recovery.empty()) {
       result.latency("power-cycle recovery", recovery);
     }
-    result.config("power-cycle", cluster.config(), cluster.overrides());
+    result.config("power-cycle", cluster.config(), cluster.options());
     result.observe("power-cycle", cluster);
   }
 
@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
     result.metric("sync_axis_fsyncs" + suffix, fsyncs);
     result.metric("sync_axis_stall_us" + suffix, stall);
     result.config("sync-axis-" + axis_label, cluster.config(),
-                  cluster.overrides());
+                  cluster.options());
   }
 
   // (f) Clock-health guard axis: the same clock-storm chaos cells swept

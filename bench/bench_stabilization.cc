@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
                 cell(reads, true),
                 metrics::Table::num(static_cast<std::int64_t>(pending))});
   }
-  result.config("across-gst", cluster.config(), cluster.overrides());
+  result.config("across-gst", cluster.config(), cluster.options());
   result.observe("across-gst", cluster);
   result.latency("post-gst-reads", post_gst_reads);
   result.latency("post-gst-writes", post_gst_writes);

@@ -53,7 +53,7 @@ std::vector<Duration> crash_timeline(ExperimentResult& result,
   for (int i = 0; i < 3; ++i) timed_write(i);  // healthy
   cluster.sim().crash(ProcessId((leader + 1) % cluster.n()));
   for (int i = 3; i < 10; ++i) timed_write(i);  // after the crash
-  result.config(label, cluster.config(), cluster.overrides());
+  result.config(label, cluster.config(), cluster.options());
   result.observe(label, cluster);
   metrics::LatencyRecorder lat;
   for (const Duration d : latencies) lat.record(d);
@@ -103,7 +103,7 @@ SyncAxisCell sync_axis_run(ExperimentResult& result, Duration sync_latency,
 
   std::int64_t fsyncs_after = 0, stall_after = 0;
   totals(fsyncs_after, stall_after);
-  result.config(label, cluster.config(), cluster.overrides());
+  result.config(label, cluster.config(), cluster.options());
   result.latency(label, lat);
 
   SyncAxisCell cell;

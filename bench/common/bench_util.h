@@ -6,7 +6,6 @@
 #include <string>
 
 #include "harness/cluster.h"
-#include "harness/raft_cluster.h"
 #include "metrics/stats.h"
 #include "metrics/table.h"
 

@@ -59,7 +59,7 @@ int main() {
   std::cout << "the in-flight write completed under the new leader\n";
 
   // Show reads are served locally everywhere again.
-  cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+  cluster.run_for(cluster.replica_config().lease_renew_interval * 3);
   for (int p = 0; p < cluster.n(); ++p) {
     if (cluster.replica(p).crashed()) continue;
     cluster.submit(p, object::KVObject::get("inventory"));

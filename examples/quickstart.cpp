@@ -36,7 +36,7 @@ int main() {
 
   // Give the lease mechanism one renewal so every replica can serve the new
   // value locally, then read at every process.
-  cluster.run_for(cluster.core_config().lease_renew_interval * 2);
+  cluster.run_for(cluster.replica_config().lease_renew_interval * 2);
   const auto msgs_before = cluster.sim().network().stats().sent;
   for (int i = 0; i < cluster.n(); ++i) {
     cluster.submit(i, object::RegisterObject::read());

@@ -26,6 +26,7 @@
 #include "common/time.h"
 #include "common/types.h"
 #include "core/clock_guard.h"
+#include "metrics/registry.h"
 #include "sim/process.h"
 
 namespace cht::baselines {
@@ -81,7 +82,10 @@ struct RevokeAck {
 class PqlProcess : public sim::Process {
  public:
   explicit PqlProcess(PqlConfig config)
-      : config_(config), clock_guard_(config_.clock_guard) {}
+      : config_(config),
+        clock_guard_(config_.clock_guard),
+        c_clock_transitions_(&metrics_.counter("clock.suspect_transitions")),
+        c_reads_degraded_(&metrics_.counter("reads.degraded")) {}
 
   void on_start() override;
   // Recovers the grantor round (synced before each Promise broadcast, so a
@@ -101,17 +105,11 @@ class PqlProcess : public sim::Process {
   void begin_write();
   std::int64_t writes_completed() const { return writes_completed_; }
 
-  struct Stats {
-    std::int64_t renewals_started = 0;
-    std::int64_t guarantees_received = 0;
-    std::int64_t revocations_received = 0;
-    // Clock guard metering: suspect-state flips, and lease_active() calls
-    // that would have answered true but were degraded to false by suspicion.
-    std::int64_t clock_suspect_transitions = 0;
-    std::int64_t lease_checks_degraded = 0;
-  };
-  const Stats& stats() const { return stats_; }
   const core::ClockSkewGuard& clock_guard() const { return clock_guard_; }
+  // Clock guard metering (docs/OBSERVABILITY.md): suspect-state flips, and
+  // lease_active() calls that would have answered true but were degraded to
+  // false by suspicion.
+  const metrics::Registry& metrics() const { return metrics_; }
 
  private:
   struct PendingWrite {
@@ -138,8 +136,10 @@ class PqlProcess : public sim::Process {
   std::vector<PendingWrite> pending_writes_;
   std::int64_t writes_completed_ = 0;
 
-  Stats stats_;
   core::ClockSkewGuard clock_guard_;
+  metrics::Registry metrics_;
+  metrics::Counter* c_clock_transitions_;
+  metrics::Counter* c_reads_degraded_;
 };
 
 }  // namespace cht::baselines

@@ -1,13 +1,7 @@
 #include "chaos/adapter.h"
 
-#include <algorithm>
-#include <map>
-#include <sstream>
-
 #include "common/assert.h"
 #include "harness/cluster.h"
-#include "harness/raft_cluster.h"
-#include "harness/vr_cluster.h"
 #include "object/bank_object.h"
 #include "object/counter_object.h"
 #include "object/kv_object.h"
@@ -34,320 +28,6 @@ harness::ClusterConfig cluster_config(const RunSpec& spec) {
   config.clock_guard = spec.clock_guard;
   return config;
 }
-
-// --- chtread (the paper's algorithm) ---------------------------------------
-
-class ChtreadAdapter final : public ClusterAdapter {
- public:
-  ChtreadAdapter(const RunSpec& spec,
-                 std::shared_ptr<const object::ObjectModel> model)
-      : cluster_(cluster_config(spec), std::move(model),
-                 core::ConfigOverrides{}) {}
-
-  const std::string& protocol() const override {
-    static const std::string kName = "chtread";
-    return kName;
-  }
-  sim::Simulation& sim() override { return cluster_.sim(); }
-  int n() const override { return cluster_.n(); }
-  const object::ObjectModel& model() const override { return cluster_.model(); }
-  checker::HistoryRecorder& history() override { return cluster_.history(); }
-  void submit(int process, object::Operation op) override {
-    cluster_.submit(process, std::move(op));
-  }
-  bool crashed(int process) const override {
-    if (process >= n()) return false;  // clients never crash
-    return const_cast<harness::Cluster&>(cluster_).replica(process).crashed();
-  }
-  void restart(int process) override { cluster_.restart(process); }
-  std::vector<OperationId> committed_op_ids_of(int replica) override {
-    std::vector<OperationId> ids;
-    const auto snap = cluster_.replica(replica).snapshot();
-    for (const auto& [k, batch] : snap.batches) {
-      if (k > snap.applied_upto) continue;
-      for (const auto& bop : batch) {
-        if (!model().is_read(bop.op)) ids.push_back(bop.id);
-      }
-    }
-    return ids;
-  }
-  std::vector<OperationId> durable_op_ids_of(int replica) override {
-    // Durability counts everything the replica's batch store carries, not
-    // just the applied prefix: a replica revived at heal time may durably
-    // hold batches past applied_upto that it has not re-applied before the
-    // final-state check runs. The op is not lost — applying is a matter of
-    // local progress, not of surviving the crash.
-    std::vector<OperationId> ids;
-    const auto snap = cluster_.replica(replica).snapshot();
-    for (const auto& [k, batch] : snap.batches) {
-      for (const auto& bop : batch) {
-        if (!model().is_read(bop.op)) ids.push_back(bop.id);
-      }
-    }
-    return ids;
-  }
-  std::vector<core::ClockSkewGuard::Transition> guard_transitions_of(
-      int replica) override {
-    return cluster_.replica(replica).clock_guard().transitions();
-  }
-  int leader() override { return cluster_.steady_leader(); }
-  bool await_quiesce(Duration timeout) override {
-    return cluster_.await_quiesce(timeout);
-  }
-  std::size_t submitted() const override { return cluster_.submitted(); }
-  std::size_t completed() const override { return cluster_.completed(); }
-
-  std::vector<std::string> protocol_invariants() override {
-    std::vector<std::string> violations;
-    // At most one steady leader among survivors (post-stabilization there
-    // must not be two processes both passing the AmLeader check).
-    int steady = 0;
-    for (int i = 0; i < n(); ++i) {
-      auto& r = cluster_.replica(i);
-      if (!r.crashed() && r.is_steady_leader()) ++steady;
-    }
-    if (steady > 1) {
-      violations.push_back("chtread: " + std::to_string(steady) +
-                           " simultaneous steady leaders");
-    }
-    // Committed-batch agreement: batches applied by two survivors must be
-    // identical (the "pre-determined order, the same for all processes").
-    for (int i = 0; i < n(); ++i) {
-      if (cluster_.replica(i).crashed()) continue;
-      const auto si = cluster_.replica(i).snapshot();
-      for (int j = i + 1; j < n(); ++j) {
-        if (cluster_.replica(j).crashed()) continue;
-        const auto sj = cluster_.replica(j).snapshot();
-        const auto upto = std::min(si.applied_upto, sj.applied_upto);
-        const auto& a = si.batches;
-        const auto& b = sj.batches;
-        for (BatchNumber k = 1; k <= upto; ++k) {
-          const auto ia = a.find(k);
-          const auto ib = b.find(k);
-          if (ia == a.end() || ib == b.end() || ia->second != ib->second) {
-            std::ostringstream os;
-            os << "chtread: applied batch " << k << " differs between p" << i
-               << " and p" << j;
-            violations.push_back(os.str());
-          }
-        }
-      }
-    }
-    return violations;
-  }
-
-  std::int64_t leadership_changes() override {
-    std::int64_t total = 0;
-    for (int i = 0; i < n(); ++i) {
-      total += cluster_.replica(i).metrics().value("became_leader");
-    }
-    return total;
-  }
-
-  void merge_metrics_into(metrics::Registry& out) override {
-    cluster_.merge_metrics_into(out);
-  }
-
- private:
-  harness::Cluster cluster_;
-};
-
-// --- Raft (both read modes) ------------------------------------------------
-
-class RaftAdapter final : public ClusterAdapter {
- public:
-  RaftAdapter(const RunSpec& spec,
-              std::shared_ptr<const object::ObjectModel> model,
-              raft::ReadMode mode)
-      : name_(mode == raft::ReadMode::kLeaderLease ? "raft-lease" : "raft"),
-        cluster_(cluster_config(spec), std::move(model), mode) {}
-
-  const std::string& protocol() const override { return name_; }
-  sim::Simulation& sim() override { return cluster_.sim(); }
-  int n() const override { return cluster_.n(); }
-  const object::ObjectModel& model() const override { return cluster_.model(); }
-  checker::HistoryRecorder& history() override { return cluster_.history(); }
-  void submit(int process, object::Operation op) override {
-    cluster_.submit(process, std::move(op));
-  }
-  bool crashed(int process) const override {
-    if (process >= n()) return false;  // clients never crash
-    return const_cast<harness::RaftCluster&>(cluster_)
-        .replica(process)
-        .crashed();
-  }
-  void restart(int process) override { cluster_.restart(process); }
-  std::vector<OperationId> committed_op_ids_of(int replica) override {
-    std::vector<OperationId> ids;
-    auto& r = cluster_.replica(replica);
-    const auto& log = r.log();
-    const auto upto = static_cast<std::size_t>(r.commit_index());
-    for (std::size_t k = 0; k < upto && k < log.size(); ++k) {
-      if (!model().is_read(log[k].op)) ids.push_back(log[k].id);
-    }
-    return ids;
-  }
-  std::vector<core::ClockSkewGuard::Transition> guard_transitions_of(
-      int replica) override {
-    return cluster_.replica(replica).clock_guard().transitions();
-  }
-  int leader() override { return cluster_.leader(); }
-  bool await_quiesce(Duration timeout) override {
-    return cluster_.await_quiesce(timeout);
-  }
-  std::size_t submitted() const override { return cluster_.submitted(); }
-  std::size_t completed() const override { return cluster_.completed(); }
-
-  std::vector<std::string> protocol_invariants() override {
-    std::vector<std::string> violations;
-    // Election safety: at most one leader per term across survivors.
-    std::map<std::int64_t, int> leaders_per_term;
-    for (int i = 0; i < n(); ++i) {
-      auto& r = cluster_.replica(i);
-      if (!r.crashed() && r.role() == raft::RaftReplica::Role::kLeader) {
-        if (++leaders_per_term[r.term()] > 1) {
-          violations.push_back("raft: two leaders in term " +
-                               std::to_string(r.term()));
-        }
-      }
-    }
-    // Log matching on the committed prefix across survivors.
-    for (int i = 0; i < n(); ++i) {
-      if (cluster_.replica(i).crashed()) continue;
-      for (int j = i + 1; j < n(); ++j) {
-        if (cluster_.replica(j).crashed()) continue;
-        const auto& a = cluster_.replica(i).log();
-        const auto& b = cluster_.replica(j).log();
-        const std::int64_t upto = std::min(cluster_.replica(i).commit_index(),
-                                           cluster_.replica(j).commit_index());
-        for (std::int64_t k = 0; k < upto; ++k) {
-          if (a.at(static_cast<std::size_t>(k)) !=
-              b.at(static_cast<std::size_t>(k))) {
-            std::ostringstream os;
-            os << "raft: committed log divergence at index " << k + 1
-               << " between p" << i << " and p" << j;
-            violations.push_back(os.str());
-          }
-        }
-      }
-    }
-    return violations;
-  }
-
-  std::int64_t leadership_changes() override {
-    std::int64_t total = 0;
-    for (int i = 0; i < n(); ++i) {
-      total += cluster_.replica(i).stats().terms_won;
-    }
-    return total;
-  }
-
-  void merge_metrics_into(metrics::Registry& out) override {
-    cluster_.merge_metrics_into(out);
-  }
-
- private:
-  std::string name_;
-  harness::RaftCluster cluster_;
-};
-
-// --- Viewstamped Replication -----------------------------------------------
-
-class VrAdapter final : public ClusterAdapter {
- public:
-  VrAdapter(const RunSpec& spec,
-            std::shared_ptr<const object::ObjectModel> model)
-      : cluster_(cluster_config(spec), std::move(model)) {}
-
-  const std::string& protocol() const override {
-    static const std::string kName = "vr";
-    return kName;
-  }
-  sim::Simulation& sim() override { return cluster_.sim(); }
-  int n() const override { return cluster_.n(); }
-  const object::ObjectModel& model() const override { return cluster_.model(); }
-  checker::HistoryRecorder& history() override { return cluster_.history(); }
-  void submit(int process, object::Operation op) override {
-    cluster_.submit(process, std::move(op));
-  }
-  bool crashed(int process) const override {
-    if (process >= n()) return false;  // clients never crash
-    return const_cast<harness::VrCluster&>(cluster_).replica(process).crashed();
-  }
-  void restart(int process) override { cluster_.restart(process); }
-  bool recovering(int process) const override {
-    if (process >= n()) return false;
-    auto& r = const_cast<harness::VrCluster&>(cluster_).replica(process);
-    return !r.crashed() && r.status() == vr::VrReplica::Status::kRecovering;
-  }
-  std::vector<OperationId> committed_op_ids_of(int replica) override {
-    std::vector<OperationId> ids;
-    auto& r = cluster_.replica(replica);
-    const auto& log = r.log();
-    const auto upto = static_cast<std::size_t>(r.commit_number());
-    for (std::size_t k = 0; k < upto && k < log.size(); ++k) {
-      if (!model().is_read(log[k].op)) ids.push_back(log[k].id);
-    }
-    return ids;
-  }
-  int leader() override { return cluster_.primary(); }
-  bool await_quiesce(Duration timeout) override {
-    return cluster_.await_quiesce(timeout);
-  }
-  std::size_t submitted() const override { return cluster_.submitted(); }
-  std::size_t completed() const override { return cluster_.completed(); }
-
-  std::vector<std::string> protocol_invariants() override {
-    std::vector<std::string> violations;
-    // At most one normal-status primary per view across survivors.
-    std::map<std::int64_t, int> primaries_per_view;
-    for (int i = 0; i < n(); ++i) {
-      auto& r = cluster_.replica(i);
-      if (!r.crashed() && r.is_primary()) {
-        if (++primaries_per_view[r.view()] > 1) {
-          violations.push_back("vr: two primaries in view " +
-                               std::to_string(r.view()));
-        }
-      }
-    }
-    // Committed log prefixes agree across survivors.
-    for (int i = 0; i < n(); ++i) {
-      if (cluster_.replica(i).crashed()) continue;
-      for (int j = i + 1; j < n(); ++j) {
-        if (cluster_.replica(j).crashed()) continue;
-        const auto& a = cluster_.replica(i).log();
-        const auto& b = cluster_.replica(j).log();
-        const std::int64_t upto = std::min(cluster_.replica(i).commit_number(),
-                                           cluster_.replica(j).commit_number());
-        for (std::int64_t k = 0; k < upto; ++k) {
-          if (!(a.at(static_cast<std::size_t>(k)) ==
-                b.at(static_cast<std::size_t>(k)))) {
-            std::ostringstream os;
-            os << "vr: committed prefix divergence at " << k + 1
-               << " between p" << i << " and p" << j;
-            violations.push_back(os.str());
-          }
-        }
-      }
-    }
-    return violations;
-  }
-
-  std::int64_t leadership_changes() override {
-    std::int64_t total = 0;
-    for (int i = 0; i < n(); ++i) {
-      total += cluster_.replica(i).stats().views_led;
-    }
-    return total;
-  }
-
-  void merge_metrics_into(metrics::Registry& out) override {
-    cluster_.merge_metrics_into(out);
-  }
-
- private:
-  harness::VrCluster cluster_;
-};
 
 }  // namespace
 
@@ -384,19 +64,20 @@ std::shared_ptr<const object::ObjectModel> make_object_model(
 
 std::unique_ptr<ClusterAdapter> make_adapter(const RunSpec& spec) {
   auto model = make_object_model(spec.object);
+  const harness::ClusterConfig config = cluster_config(spec);
   if (spec.protocol == "chtread") {
-    return std::make_unique<ChtreadAdapter>(spec, std::move(model));
+    return std::make_unique<harness::Cluster>(config, std::move(model));
   }
   if (spec.protocol == "raft") {
-    return std::make_unique<RaftAdapter>(spec, std::move(model),
-                                         raft::ReadMode::kReadIndex);
+    return std::make_unique<harness::RaftCluster>(
+        config, std::move(model), raft::ReadMode::kReadIndex);
   }
   if (spec.protocol == "raft-lease") {
-    return std::make_unique<RaftAdapter>(spec, std::move(model),
-                                         raft::ReadMode::kLeaderLease);
+    return std::make_unique<harness::RaftCluster>(
+        config, std::move(model), raft::ReadMode::kLeaderLease);
   }
   if (spec.protocol == "vr") {
-    return std::make_unique<VrAdapter>(spec, std::move(model));
+    return std::make_unique<harness::VrCluster>(config, std::move(model));
   }
   CHT_ASSERT(false, "unknown protocol");
   return nullptr;

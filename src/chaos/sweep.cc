@@ -36,10 +36,8 @@ std::uint64_t fnv1a(std::uint64_t hash, const std::string& s) {
   return hash;
 }
 
-std::string fingerprint_of(const ClusterAdapter& cluster_const,
-                           sim::Simulation& sim,
+std::string fingerprint_of(const ClusterAdapter& cluster, RealTime end,
                            const std::vector<std::string>& violations) {
-  auto& cluster = const_cast<ClusterAdapter&>(cluster_const);
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const auto& op : cluster.history().ops()) {
     std::ostringstream os;
@@ -51,7 +49,7 @@ std::string fingerprint_of(const ClusterAdapter& cluster_const,
     }
     hash = fnv1a(hash, os.str());
   }
-  hash = fnv1a(hash, std::to_string(sim.now().to_micros()));
+  hash = fnv1a(hash, std::to_string(end.to_micros()));
   for (const auto& v : violations) hash = fnv1a(hash, v);
   std::ostringstream os;
   os << std::hex << std::setw(16) << std::setfill('0') << hash;
@@ -189,7 +187,7 @@ RunResult run_one(const RunSpec& spec, const AdapterHook& hook) {
     result.history.push_back(os.str());
   }
   result.fingerprint =
-      fingerprint_of(cluster, cluster.sim(), result.violations);
+      fingerprint_of(cluster, cluster.sim().now(), result.violations);
   return result;
 }
 

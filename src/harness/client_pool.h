@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "client/client.h"
-#include "harness/common_config.h"
+#include "harness/cluster_config.h"
 #include "metrics/registry.h"
 #include "sim/simulation.h"
 
@@ -20,7 +20,7 @@ class ClientPool {
   // Adds the clients. Must run after every add_process and before
   // sim.start(). Client j's home replica is j % n, spreading the local-read
   // fast path across the cluster.
-  void populate(const CommonConfig& config) {
+  void populate(const ClusterConfig& config) {
     replicas_ = config.n;
     clients_ = config.clients;
     for (int j = 0; j < clients_; ++j) {

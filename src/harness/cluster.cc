@@ -2,48 +2,30 @@
 
 namespace cht::harness {
 
-Cluster::Cluster(ClusterConfig config,
-                 std::shared_ptr<const object::ObjectModel> model,
-                 core::ConfigOverrides overrides)
+template <class Stack>
+StackCluster<Stack>::StackCluster(
+    ClusterConfig config, std::shared_ptr<const object::ObjectModel> model,
+    Options options)
     : config_(config),
       model_(std::move(model)),
-      overrides_(std::move(overrides)),
-      core_config_(core::Config::defaults_for(config.delta, config.epsilon)),
-      sim_(config.to_sim_config()),
+      options_(std::move(options)),
+      protocol_(Stack::name(options_)),
+      replica_config_(Stack::make_config(config_, options_)),
+      sim_(config_.to_sim_config()),
       clients_(sim_) {
-  core_config_.clock_guard.enabled = config_.clock_guard;
-  overrides_.apply(core_config_);
   for (int i = 0; i < config_.n; ++i) {
-    sim_.add_process(std::make_unique<core::Replica>(model_, core_config_));
+    sim_.add_process(std::make_unique<Replica>(model_, replica_config_));
   }
   clients_.populate(config_);
   sim_.start();
 }
 
-void Cluster::merge_metrics_into(metrics::Registry& out) {
-  for (int i = 0; i < config_.n; ++i) {
-    out.merge_from(replica(i).metrics());
-    // Storage lives beside the replica (it survives incarnations), so its
-    // fsync count is merged here rather than in the replica registry.
-    out.add("fsyncs", sim_.storage(ProcessId(i)).fsyncs());
-    out.add("sync_stall_us", sim_.storage(ProcessId(i)).sync_stall_us());
-    // Batch sizes of completed flushes: how wide group commit actually ran.
-    metrics::Histogram& widths = out.histogram("storage.flush_width");
-    for (const auto& [width, count] : sim_.storage(ProcessId(i)).flush_widths()) {
-      for (std::int64_t c = 0; c < count; ++c) {
-        widths.record(static_cast<std::int64_t>(width));
-      }
-    }
-  }
-  clients_.merge_metrics_into(out);
-}
-
-void Cluster::submit(int i, object::Operation op,
-                     core::Replica::Callback user_callback) {
+template <class Stack>
+void StackCluster<Stack>::submit(int i, object::Operation op, Callback done) {
   ++submitted_;
+  const bool is_read = model_->is_read(op);
   if (clients_.enabled()) {
     client::Client& via = clients_.for_slot(i);
-    const bool is_read = model_->is_read(op);
     // Invocation is recorded at dispatch (first wire send), not enqueue:
     // the client's internal queue is not observable concurrency, and the
     // reply always arrives after dispatch, so the token is set by then.
@@ -52,11 +34,11 @@ void Cluster::submit(int i, object::Operation op,
     object::Operation recorded = op;  // hook's copy; `op` moves into submit
     via.submit(
         std::move(op), is_read,
-        [this, token, user_callback = std::move(user_callback)](
-            const OperationId&, const std::string& response) {
+        [this, token, done = std::move(done)](const OperationId&,
+                                              const std::string& response) {
           history_.end(*token, response, sim_.now());
           ++completed_;
-          if (user_callback) user_callback(response);
+          if (done) done(response);
         },
         [this, token, pid, is_read,
          recorded = std::move(recorded)](const OperationId& cid) {
@@ -65,43 +47,128 @@ void Cluster::submit(int i, object::Operation op,
         });
     return;
   }
-  core::Replica& target = replica(i);
-  const auto token =
-      history_.begin(ProcessId(i), op, sim_.now());
-  auto callback = [this, token, user_callback = std::move(user_callback)](
-                      const object::Response& response) {
-    history_.end(token, response, sim_.now());
-    ++completed_;
-    if (user_callback) user_callback(response);
-  };
-  if (model_->is_read(op)) {
-    target.submit_read(std::move(op), std::move(callback));
+  const auto token = history_.begin(ProcessId(i), op, sim_.now());
+  const OperationId id = Stack::submit(
+      replica(i), std::move(op), is_read,
+      [this, token, done = std::move(done)](const object::Response& response) {
+        history_.end(token, response, sim_.now());
+        ++completed_;
+        if (done) done(response);
+      });
+  // Durability accounting joins on writes only, so read ids (VR assigns
+  // them too) stay off the history.
+  if (!is_read) history_.set_id(token, id);
+}
+
+template <class Stack>
+bool StackCluster<Stack>::await_leader(Duration timeout) {
+  const RealTime deadline = sim_.now() + timeout;
+  return sim_.run_until([this] { return leader() >= 0; }, deadline);
+}
+
+template <class Stack>
+bool StackCluster<Stack>::crashed(int process) const {
+  return process < n() && replica(process).crashed();  // clients never crash
+}
+
+template <class Stack>
+void StackCluster<Stack>::restart(int i) {
+  sim_.restart(ProcessId(i),
+               std::make_unique<Replica>(model_, replica_config_));
+}
+
+template <class Stack>
+bool StackCluster<Stack>::recovering([[maybe_unused]] int process) const {
+  if constexpr (requires(const Replica& r) { Stack::recovering(r); }) {
+    if (process >= n()) return false;
+    const Replica& r = replica(process);
+    return !r.crashed() && Stack::recovering(r);
   } else {
-    history_.set_id(token,
-                    target.submit_rmw(std::move(op), std::move(callback)));
+    return false;
   }
 }
 
-void Cluster::restart(int i) {
-  sim_.restart(ProcessId(i),
-               std::make_unique<core::Replica>(model_, core_config_));
+template <class Stack>
+std::vector<OperationId> StackCluster<Stack>::committed_op_ids_of(int i) {
+  return Stack::committed_op_ids(replica(i), *model_);
 }
 
-bool Cluster::await_quiesce(Duration timeout) {
+template <class Stack>
+std::vector<OperationId> StackCluster<Stack>::durable_op_ids_of(int i) {
+  if constexpr (requires(Replica& r, const object::ObjectModel& m) {
+                  Stack::durable_op_ids(r, m);
+                }) {
+    return Stack::durable_op_ids(replica(i), *model_);
+  } else {
+    return committed_op_ids_of(i);
+  }
+}
+
+template <class Stack>
+std::vector<core::ClockSkewGuard::Transition>
+StackCluster<Stack>::guard_transitions_of([[maybe_unused]] int i) {
+  if constexpr (requires(const Replica& r) { r.clock_guard(); }) {
+    return replica(i).clock_guard().transitions();
+  } else {
+    return {};
+  }
+}
+
+template <class Stack>
+int StackCluster<Stack>::leader() {
+  int found = -1;
+  for (int i = 0; i < config_.n; ++i) {
+    Replica& r = replica(i);
+    if (r.crashed() || !Stack::leads(r)) continue;
+    // With epochs the newest one wins; without, there is one leader.
+    if constexpr (requires(const Replica& x) { Stack::epoch(x); }) {
+      if (found < 0 || Stack::epoch(r) > Stack::epoch(replica(found))) {
+        found = i;
+      }
+    } else {
+      return i;
+    }
+  }
+  return found;
+}
+
+template <class Stack>
+bool StackCluster<Stack>::await_quiesce(Duration timeout) {
   const RealTime deadline = sim_.now() + timeout;
   return sim_.run_until([this] { return completed_ == submitted_; }, deadline);
 }
 
-int Cluster::steady_leader() {
+template <class Stack>
+std::int64_t StackCluster<Stack>::leadership_changes() {
+  std::int64_t total = 0;
   for (int i = 0; i < config_.n; ++i) {
-    if (!replica(i).crashed() && replica(i).is_steady_leader()) return i;
+    total += replica(i).metrics().value("became_leader");
   }
-  return -1;
+  return total;
 }
 
-bool Cluster::await_steady_leader(Duration timeout) {
-  const RealTime deadline = sim_.now() + timeout;
-  return sim_.run_until([this] { return steady_leader() >= 0; }, deadline);
+template <class Stack>
+void StackCluster<Stack>::merge_metrics_into(metrics::Registry& out) {
+  for (int i = 0; i < config_.n; ++i) {
+    out.merge_from(replica(i).metrics());
+    // Storage lives beside the replica (it survives incarnations), so its
+    // counters are merged here rather than in the replica registry.
+    const sim::StableStorage& storage = sim_.storage(ProcessId(i));
+    out.add("fsyncs", storage.fsyncs());
+    out.add("sync_stall_us", storage.sync_stall_us());
+    // Batch sizes of completed flushes: how wide group commit actually ran.
+    metrics::Histogram& widths = out.histogram("storage.flush_width");
+    for (const auto& [width, count] : storage.flush_widths()) {
+      for (std::int64_t c = 0; c < count; ++c) {
+        widths.record(static_cast<std::int64_t>(width));
+      }
+    }
+  }
+  clients_.merge_metrics_into(out);
 }
+
+template class StackCluster<ChtreadStack>;
+template class StackCluster<RaftStack>;
+template class StackCluster<VrStack>;
 
 }  // namespace cht::harness

@@ -1,9 +1,7 @@
-// Cluster knobs shared by every stack harness (chtread, Raft in both read
-// modes, VR). Exactly one place derives a sim::SimulationConfig from them,
-// so a new knob (or a changed derivation like delta_min) cannot drift
-// between stacks. Stack harnesses embed this by inheritance
-// (harness::ClusterConfig) and chaos::ClusterAdapter builds it from a
-// RunSpec in a single helper (chaos/adapter.cc).
+// Cluster knobs shared by every stack (chtread, Raft in both read modes,
+// VR). Exactly one place derives a sim::SimulationConfig from them, so a new
+// knob (or a changed derivation like delta_min) cannot drift between stacks.
+// chaos::make_adapter builds one from a RunSpec (chaos/adapter.cc).
 #pragma once
 
 #include <algorithm>
@@ -14,7 +12,7 @@
 
 namespace cht::harness {
 
-struct CommonConfig {
+struct ClusterConfig {
   int n = 5;
   std::uint64_t seed = 1;
   Duration delta = Duration::millis(10);

@@ -47,6 +47,8 @@ RaftReplica::RaftReplica(std::shared_ptr<const object::ObjectModel> model,
   span_recovery_ = metrics::Span(&metrics_.histogram("span.recovery_us"));
   c_clock_transitions_ = &metrics_.counter("clock.suspect_transitions");
   c_reads_degraded_ = &metrics_.counter("reads.degraded");
+  c_reads_by_lease_ = &metrics_.counter("reads.by_lease");
+  c_became_leader_ = &metrics_.counter("became_leader");
 
   client::ReplicaGateway::Hooks hooks;
   hooks.accepts_rmw = [this] { return role_ == Role::kLeader; };
@@ -159,7 +161,6 @@ void RaftReplica::reset_election_timer() {
 
 void RaftReplica::start_election() {
   if (role_ == Role::kLeader) return;
-  ++stats_.elections_started;
   // The election span restarts on every timeout, so it measures the round
   // that actually won, not the full leaderless stretch.
   span_election_.begin(now_local().to_micros());
@@ -203,7 +204,7 @@ void RaftReplica::become_follower(std::int64_t term) {
 
 void RaftReplica::become_leader() {
   CHT_DEBUG(kTag) << id() << " wins term " << term_;
-  ++stats_.terms_won;
+  c_became_leader_->inc();
   const std::int64_t election_us = span_election_.end(now_local().to_micros());
   if (election_us >= 0 && tracing()) {
     trace_event("span.election", "us=" + std::to_string(election_us));
@@ -431,7 +432,6 @@ void RaftReplica::apply_committed() {
       auto node = pending_ops_.extract(entry.id);
       if (!node.empty()) {
         node.mapped().retry_timer.cancel();
-        ++stats_.rmws_completed;
         if (node.mapped().callback) node.mapped().callback(response);
       }
     }
@@ -448,7 +448,6 @@ void RaftReplica::apply_committed() {
 
 OperationId RaftReplica::submit_rmw(object::Operation op, Callback callback) {
   CHT_ASSERT(!model_->is_read(op), "submit_rmw called with a read");
-  ++stats_.rmws_submitted;
   const OperationId id{this->id(), ++op_seq_};
   pending_ops_.try_emplace(
       id, PendingClientOp{std::move(op), std::move(callback), false,
@@ -459,7 +458,6 @@ OperationId RaftReplica::submit_rmw(object::Operation op, Callback callback) {
 
 void RaftReplica::submit_read(object::Operation op, Callback callback) {
   CHT_ASSERT(model_->is_read(op), "submit_read called with a RMW");
-  ++stats_.reads_submitted;
   const OperationId id{this->id(), ++op_seq_};
   pending_ops_.try_emplace(
       id, PendingClientOp{std::move(op), std::move(callback), true,
@@ -525,11 +523,10 @@ void RaftReplica::on_client_read(ProcessId from, const msg::ClientRead& read) {
   if (config_.read_mode == ReadMode::kLeaderLease && clock_guard_.suspect()) {
     // Degraded: lease validity is clock arithmetic this replica no longer
     // trusts; fall through to the clock-free ReadIndex round below.
-    ++stats_.reads_degraded;
     c_reads_degraded_->inc();
   } else if (config_.read_mode == ReadMode::kLeaderLease && lease_valid() &&
              last_applied_ >= commit_index_) {
-    ++stats_.reads_served_by_lease;
+    c_reads_by_lease_->inc();
     const object::Response response = model_->apply(*state_, read.op);
     const msg::ReadReply reply{read.id, response};
     if (from == id()) {
@@ -640,7 +637,6 @@ void RaftReplica::on_message_read_reply(const msg::ReadReply& reply) {
   auto node = pending_ops_.extract(reply.id);
   if (node.empty()) return;
   node.mapped().retry_timer.cancel();
-  ++stats_.reads_completed;
   if (node.mapped().callback) node.mapped().callback(reply.response);
 }
 

@@ -155,17 +155,6 @@ class RaftReplica : public sim::Process {
   void on_restart() override;
   void on_message(const sim::Message& message) override;
 
-  struct Stats {
-    std::int64_t rmws_submitted = 0;
-    std::int64_t rmws_completed = 0;
-    std::int64_t reads_submitted = 0;
-    std::int64_t reads_completed = 0;
-    std::int64_t reads_served_by_lease = 0;
-    std::int64_t reads_degraded = 0;  // lease-mode reads demoted to ReadIndex
-    std::int64_t elections_started = 0;
-    std::int64_t terms_won = 0;
-  };
-
   Role role() const { return role_; }
   std::int64_t term() const { return term_; }
   std::int64_t commit_index() const { return commit_index_; }
@@ -173,7 +162,6 @@ class RaftReplica : public sim::Process {
   std::size_t log_size() const { return log_.size(); }
   const std::vector<LogEntry>& log() const { return log_; }
   ProcessId leader_hint() const { return leader_hint_; }
-  const Stats& stats() const { return stats_; }
   const object::ObjectState& applied_state() const { return *state_; }
   // Clock-health guard state, for the chaos checker's exposure-window
   // accounting and tests.
@@ -290,7 +278,6 @@ class RaftReplica : public sim::Process {
   std::int64_t op_seq_ = 0;
   std::map<OperationId, PendingClientOp> pending_ops_;
 
-  Stats stats_;
   core::ClockSkewGuard clock_guard_;
 
   // Observability (write-only from protocol code).
@@ -301,7 +288,9 @@ class RaftReplica : public sim::Process {
   metrics::Counter* c_recovered_entries_;
   metrics::Counter* c_clock_transitions_;
   metrics::Counter* c_reads_degraded_;
-  metrics::Span span_recovery_;         // restart -> first live-protocol sign
+  metrics::Counter* c_reads_by_lease_;
+  metrics::Counter* c_became_leader_;
+  metrics::Span span_recovery_;        // restart -> first live-protocol sign
 
   // Networked-client endpoint (declared after metrics_: ctor order).
   client::ReplicaGateway gateway_;

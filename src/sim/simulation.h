@@ -101,9 +101,18 @@ class Simulation {
   // attached with as Process::cluster_size().
   int cluster_n() const { return cluster_n_; }
   Process& process(ProcessId p) { return *processes_.at(p.index()); }
+  const Process& process(ProcessId p) const {
+    return *processes_.at(p.index());
+  }
   template <class T>
   T& process_as(ProcessId p) {
     T* typed = dynamic_cast<T*>(&process(p));
+    CHT_ASSERT(typed != nullptr, "process type mismatch");
+    return *typed;
+  }
+  template <class T>
+  const T& process_as(ProcessId p) const {
+    const T* typed = dynamic_cast<const T*>(&process(p));
     CHT_ASSERT(typed != nullptr, "process type mismatch");
     return *typed;
   }

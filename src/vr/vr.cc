@@ -16,6 +16,7 @@ VrReplica::VrReplica(std::shared_ptr<const object::ObjectModel> model,
     : model_(std::move(model)), config_(config), gateway_(*this, &metrics_) {
   span_viewchange_ =
       metrics::Span(&metrics_.histogram("span.viewchange_us"));
+  c_became_leader_ = &metrics_.counter("became_leader");
   c_recoveries_ = &metrics_.counter("recoveries");
   c_recovered_entries_ = &metrics_.counter("recovery_log_replayed");
   span_recovery_ = metrics::Span(&metrics_.histogram("span.recovery_us"));
@@ -52,7 +53,7 @@ void VrReplica::on_start() {
   seed_op_sequence();
   acked_op_.assign(cluster_size(), 0);
   if (is_primary()) {
-    ++stats_.views_led;
+    c_became_leader_->inc();
     heartbeat_tick();
   } else {
     reset_view_timer();
@@ -248,7 +249,6 @@ void VrReplica::apply_committed() {
       auto node = pending_ops_.extract(entry.id);
       if (!node.empty()) {
         node.mapped().retry_timer.cancel();
-        ++stats_.ops_completed;
         if (node.mapped().callback) node.mapped().callback(response);
       }
     }
@@ -285,10 +285,7 @@ void VrReplica::reset_view_timer() {
   view_timer_ = schedule_after(timeout, [this] { suspect_primary(); });
 }
 
-void VrReplica::suspect_primary() {
-  ++stats_.view_changes_started;
-  begin_view_change(view_ + 1);
-}
+void VrReplica::suspect_primary() { begin_view_change(view_ + 1); }
 
 void VrReplica::begin_view_change(std::int64_t new_view) {
   CHT_ASSERT(new_view > view_ || (new_view == view_ && status_ ==
@@ -316,10 +313,8 @@ void VrReplica::begin_view_change(std::int64_t new_view) {
   const Duration timeout = Duration::micros(
       rng().next_in(config_.view_change_timeout.to_micros(),
                     config_.view_change_timeout.to_micros() * 3 / 2));
-  view_timer_ = schedule_after(timeout, [this] {
-    ++stats_.view_changes_started;
-    begin_view_change(view_ + 1);
-  });
+  view_timer_ =
+      schedule_after(timeout, [this] { begin_view_change(view_ + 1); });
   maybe_send_do_view_change();
 }
 
@@ -382,7 +377,7 @@ void VrReplica::maybe_become_primary() {
   last_normal_view_ = view_;
   acked_op_.assign(cluster_size(), 0);
   view_timer_.cancel();
-  ++stats_.views_led;
+  c_became_leader_->inc();
   CHT_DEBUG(kTag) << id() << " is primary of view " << view_;
   broadcast(msg::kStartView,
             msg::StartView{view_, log_, op_number(), max_commit});
@@ -463,7 +458,6 @@ void VrReplica::truncate_uncommitted_tail() {
 // ===========================================================================
 
 OperationId VrReplica::submit(object::Operation op, Callback callback) {
-  ++stats_.ops_submitted;
   const OperationId id{this->id(), ++op_seq_};
   pending_ops_.try_emplace(
       id, PendingClientOp{std::move(op), std::move(callback),

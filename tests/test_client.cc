@@ -11,8 +11,6 @@
 #include "client/client.h"
 #include "client/session.h"
 #include "harness/cluster.h"
-#include "harness/raft_cluster.h"
-#include "harness/vr_cluster.h"
 #include "object/counter_object.h"
 
 namespace cht {
@@ -286,7 +284,7 @@ TEST(RaftClientTest, FollowerRedirectsRmwToLeader) {
 TEST(VrClientTest, ClientPathCompletesAndCountsExactly) {
   harness::VrCluster cluster(client_config(12),
                              std::make_shared<object::CounterObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   for (int i = 0; i < 8; ++i) {
     cluster.submit(i % cluster.n(), object::CounterObject::add(1));
   }

@@ -14,7 +14,6 @@
 #include "checker/linearizability.h"
 #include "core/clock_guard.h"
 #include "harness/cluster.h"
-#include "harness/raft_cluster.h"
 #include "object/register_object.h"
 #include "sim/simulation.h"
 
@@ -222,7 +221,7 @@ TEST(ClockGuardRaftTest, SuspectLeaderDemotesLeaseReadsToReadIndex) {
   cluster.submit(leader, object::RegisterObject::read());
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
   EXPECT_EQ(*cluster.history().ops().back().response, "committed");
-  EXPECT_GE(cluster.replica(leader).stats().reads_degraded, 1);
+  EXPECT_GE(cluster.replica(leader).metrics().value("reads.degraded"), 1);
   const auto full =
       checker::check_linearizable(cluster.model(), cluster.history().ops());
   EXPECT_TRUE(full.linearizable) << full.explanation;
@@ -251,11 +250,11 @@ TEST(ClockGuardPqlTest, SuspectProcessReportsLeaseInactive) {
   sim.set_clock_offset(ProcessId(1), Duration::millis(100));
   sim.run_until(sim.now() + Duration::millis(100));
   EXPECT_TRUE(victim.clock_guard().suspect());
-  EXPECT_GE(victim.stats().clock_suspect_transitions, 1);
+  EXPECT_GE(victim.metrics().value("clock.suspect_transitions"), 1);
   // The guarantees may still be formally unexpired, but the guard forces the
   // quorum path.
   EXPECT_FALSE(victim.lease_active());
-  EXPECT_GE(victim.stats().lease_checks_degraded, 1);
+  EXPECT_GE(victim.metrics().value("reads.degraded"), 1);
 }
 
 // --- Exposure-window accounting and durability fallback ----------------------
@@ -277,6 +276,7 @@ class FakeAdapter final : public chaos::ClusterAdapter {
   int n() const override { return 3; }
   const object::ObjectModel& model() const override { return *model_; }
   checker::HistoryRecorder& history() override { return history_; }
+  const checker::HistoryRecorder& history() const override { return history_; }
   void submit(int, object::Operation) override {}
   bool crashed(int) const override { return false; }
   void restart(int) override {}

@@ -14,8 +14,6 @@
 
 #include "checker/linearizability.h"
 #include "harness/cluster.h"
-#include "harness/raft_cluster.h"
-#include "harness/vr_cluster.h"
 #include "leader/enhanced_leader.h"
 #include "object/register_object.h"
 #include "raft/raft.h"
@@ -124,7 +122,7 @@ TEST(CrashRecoveryTest, RaftRestartDuringElection) {
   cluster.sim().crash(ProcessId(old_leader));
   // Long enough for election timeouts to fire so the restart lands mid- or
   // post-election, not in a quiet cluster.
-  cluster.run_for(cluster.raft_config().election_timeout_max * 2);
+  cluster.run_for(cluster.replica_config().election_timeout_max * 2);
   cluster.restart(old_leader);
   // currentTerm was synced before the old incarnation ever voted, so the
   // replay cannot regress below it — the restarted node must not disrupt
@@ -143,8 +141,8 @@ TEST(CrashRecoveryTest, RaftRestartDuringElection) {
 TEST(CrashRecoveryTest, VrFollowerRecoversViaNonceProtocol) {
   harness::VrCluster cluster(config_with_seed(31),
                              std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(10)));
-  const int primary = cluster.primary();
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
+  const int primary = cluster.leader();
   cluster.submit(primary, object::RegisterObject::write("replicated"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
 
@@ -166,7 +164,7 @@ TEST(CrashRecoveryTest, VrFollowerRecoversViaNonceProtocol) {
       cluster.sim().now() + Duration::seconds(30));
   EXPECT_TRUE(recovered) << "nonce recovery never completed";
 
-  cluster.submit(cluster.primary(), object::RegisterObject::read());
+  cluster.submit(cluster.leader(), object::RegisterObject::read());
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
   EXPECT_EQ(*cluster.history().ops().back().response, "replicated");
 }
@@ -174,8 +172,8 @@ TEST(CrashRecoveryTest, VrFollowerRecoversViaNonceProtocol) {
 TEST(CrashRecoveryTest, VrRestartDuringViewChange) {
   harness::VrCluster cluster(config_with_seed(32),
                              std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(10)));
-  const int old_primary = cluster.primary();
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
+  const int old_primary = cluster.leader();
   cluster.submit(old_primary, object::RegisterObject::write("v0"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
 
@@ -184,10 +182,10 @@ TEST(CrashRecoveryTest, VrRestartDuringViewChange) {
   // power the old primary back up while it is (or was just) in flight. Its
   // recovery must wait out the view change: responses only come from
   // normal-status replicas, so it rejoins in the new view, not the old one.
-  cluster.run_for(cluster.vr_config().view_change_timeout * 2);
+  cluster.run_for(cluster.replica_config().view_change_timeout * 2);
   cluster.restart(old_primary);
 
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(30)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(30)));
   const bool rejoined = cluster.sim().run_until(
       [&] {
         return cluster.replica(old_primary).status() ==
@@ -197,7 +195,7 @@ TEST(CrashRecoveryTest, VrRestartDuringViewChange) {
   EXPECT_TRUE(rejoined);
   EXPECT_GT(cluster.replica(old_primary).view(), 0);
 
-  cluster.submit(cluster.primary(), object::RegisterObject::read());
+  cluster.submit(cluster.leader(), object::RegisterObject::read());
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
   EXPECT_EQ(*cluster.history().ops().back().response, "v0");
 }

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "checker/linearizability.h"
-#include "harness/raft_cluster.h"
+#include "harness/cluster.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
 
@@ -142,7 +142,7 @@ TEST(RaftTest, LeaderLeaseModeServesReadsWithoutExtraRound) {
   const int leader = cluster.leader();
   cluster.submit(leader, object::RegisterObject::read());
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
-  EXPECT_GE(cluster.replica(leader).stats().reads_served_by_lease, 1);
+  EXPECT_GE(cluster.replica(leader).metrics().value("reads.by_lease"), 1);
   // A leader-local lease read completes without any message exchange.
   const auto& record = cluster.history().ops().back();
   EXPECT_EQ(record.latency(), Duration::zero());

@@ -54,7 +54,7 @@ TEST(ReplicaBasicTest, ReadSeesCommittedWrite) {
   cluster.submit(1, object::RegisterObject::write("v1"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
   // Let the new batch's lease propagate so every process can read it.
-  cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+  cluster.run_for(cluster.replica_config().lease_renew_interval * 3);
   for (int i = 0; i < cluster.n(); ++i) {
     cluster.submit(i, object::RegisterObject::read());
   }

@@ -153,9 +153,9 @@ TEST(LeaseTest, CrashedLeaseholderDelaysWritesAtMostOnce) {
     ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(20)));
     worst_later = std::max(worst_later, cluster.sim().now() - t);
   }
-  EXPECT_GT(first_write, cluster.core_config().lease_period)
+  EXPECT_GT(first_write, cluster.replica_config().lease_period)
       << "first write should wait out the victim's lease";
-  EXPECT_LT(worst_later, cluster.core_config().lease_period / 2)
+  EXPECT_LT(worst_later, cluster.replica_config().lease_period / 2)
       << "later writes must not wait for the crashed leaseholder again";
   EXPECT_FALSE(
       cluster.replica(leader).snapshot().leaseholders.contains(victim));
@@ -186,7 +186,7 @@ TEST(LeaseTest, DroppedLeaseholderReintegrates) {
       },
       deadline));
   // And it can serve a fresh local read.
-  cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+  cluster.run_for(cluster.replica_config().lease_renew_interval * 3);
   const auto blocked_before =
       cluster.replica(victim).metrics().value("reads_blocked");
   cluster.submit(victim, object::RegisterObject::read());
@@ -207,7 +207,7 @@ TEST(LeaseTest, ReadsBlockWhileLeaderlessThenRecover) {
   cluster.sim().crash(ProcessId(leader));
   // Wait until every lease has surely expired but (likely) before a new
   // leader finished initializing.
-  cluster.run_for(cluster.core_config().lease_period +
+  cluster.run_for(cluster.replica_config().lease_period +
                   cluster.config().epsilon);
   const int reader = (leader + 1) % cluster.n();
   if (!cluster.replica(reader).is_steady_leader()) {

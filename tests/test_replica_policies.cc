@@ -93,8 +93,8 @@ TEST(PolicyTest, AllAckGatePaysForCrashedProcessEveryWrite) {
     const Duration took = cluster.sim().now() - t;
     // The expiry wait is max(t, ts_last_lease) + LeasePeriod + eps, and the
     // last grant may predate the write by up to a renewal interval.
-    EXPECT_GT(took, cluster.core_config().lease_period -
-                        2 * cluster.core_config().lease_renew_interval)
+    EXPECT_GT(took, cluster.replica_config().lease_period -
+                        2 * cluster.replica_config().lease_renew_interval)
         << "write " << i << " should wait out the crashed process every time";
   }
 }

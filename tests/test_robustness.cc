@@ -44,7 +44,7 @@ TEST(RobustnessTest, SlowClockYieldsStaleReadsButRmwsStayLinearizable) {
   // Seed a value everyone has applied.
   cluster.submit(leader, object::RegisterObject::write("old"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
-  cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+  cluster.run_for(cluster.replica_config().lease_renew_interval * 3);
 
   // Break the model: freeze the victim's clock (maximally slow) and cut it
   // off so it misses the Prepares/Commits that would update it.

@@ -36,7 +36,7 @@ TEST_P(ScaleTest, ElectsOneLeaderCommitsAndReads) {
   EXPECT_EQ(leaders, 1);
   cluster.submit(0, object::RegisterObject::write("v"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
-  cluster.run_for(cluster.core_config().lease_renew_interval * 3);
+  cluster.run_for(cluster.replica_config().lease_renew_interval * 3);
   for (int i = 0; i < n; ++i) {
     cluster.submit(i, object::RegisterObject::read());
   }

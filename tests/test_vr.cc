@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "checker/linearizability.h"
-#include "harness/vr_cluster.h"
+#include "harness/cluster.h"
 #include "object/kv_object.h"
 #include "object/register_object.h"
 
@@ -26,13 +26,13 @@ ClusterConfig base_config(std::uint64_t seed = 3) {
 TEST(VrTest, StartsInViewZeroWithPrimaryP0) {
   VrCluster cluster(base_config(), std::make_shared<object::RegisterObject>());
   cluster.run_for(Duration::millis(100));
-  EXPECT_EQ(cluster.primary(), 0);
+  EXPECT_EQ(cluster.leader(), 0);
   EXPECT_EQ(cluster.replica(0).view(), 0);
 }
 
 TEST(VrTest, CommitsAndApplies) {
   VrCluster cluster(base_config(), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   for (int i = 0; i < 10; ++i) {
     cluster.submit(i % cluster.n(),
                    object::KVObject::put("k" + std::to_string(i), "v"));
@@ -47,14 +47,14 @@ TEST(VrTest, CommitsAndApplies) {
 
 TEST(VrTest, ViewChangeOnPrimaryCrash) {
   VrCluster cluster(base_config(7), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.submit(1, object::KVObject::put("k", "before"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
   cluster.sim().crash(ProcessId(0));
   // The next view's primary is p1 (static order).
   const RealTime deadline = cluster.sim().now() + Duration::seconds(30);
   ASSERT_TRUE(cluster.sim().run_until(
-      [&] { return cluster.primary() == 1; }, deadline));
+      [&] { return cluster.leader() == 1; }, deadline));
   cluster.submit(2, object::KVObject::put("k", "after"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(30)));
   const auto result =
@@ -64,7 +64,7 @@ TEST(VrTest, ViewChangeOnPrimaryCrash) {
 
 TEST(VrTest, CommittedDataSurvivesViewChange) {
   VrCluster cluster(base_config(9), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.submit(1, object::KVObject::put("k", "must-survive"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
   cluster.sim().crash(ProcessId(0));
@@ -83,7 +83,7 @@ TEST(VrTest, CyclesThroughIneffectiveViewsWhenSuccessorsPartitioned) {
   ClusterConfig config = base_config(11);
   config.n = 7;
   VrCluster cluster(config, std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   // Cut p1 and p2 (the next two static successors) off, then crash p0.
   cluster.sim().network().set_process_isolated(ProcessId(1), true, cluster.n());
   cluster.sim().network().set_process_isolated(ProcessId(2), true, cluster.n());
@@ -93,7 +93,7 @@ TEST(VrTest, CyclesThroughIneffectiveViewsWhenSuccessorsPartitioned) {
   int new_primary = -1;
   ASSERT_TRUE(cluster.sim().run_until(
       [&] {
-        new_primary = cluster.primary();
+        new_primary = cluster.leader();
         return new_primary >= 3;
       },
       deadline));
@@ -102,14 +102,14 @@ TEST(VrTest, CyclesThroughIneffectiveViewsWhenSuccessorsPartitioned) {
   EXPECT_GE(cluster.replica(new_primary).view(), 3);
   // And recovery took at least two extra view-change timeouts.
   EXPECT_GT(cluster.sim().now() - crash_at,
-            2 * cluster.vr_config().view_change_timeout);
+            2 * cluster.replica_config().view_change_timeout);
   cluster.submit(3, object::KVObject::put("k", "recovered"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(30)));
 }
 
 TEST(VrTest, MixedWorkloadLinearizable) {
   VrCluster cluster(base_config(13), std::make_shared<object::KVObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   for (int round = 0; round < 8; ++round) {
     for (int i = 0; i < cluster.n(); ++i) {
       if ((round + i) % 3 == 0) {
@@ -131,7 +131,7 @@ TEST(VrTest, ReadsAreNeitherLocalNorFast) {
   // VR treats reads like writes: a follower read costs a request to the
   // primary plus a full Prepare round.
   VrCluster cluster(base_config(15), std::make_shared<object::RegisterObject>());
-  ASSERT_TRUE(cluster.await_primary(Duration::seconds(5)));
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
   cluster.run_for(Duration::seconds(1));
   const auto before = cluster.sim().network().stats().sent;
   cluster.submit(2, object::RegisterObject::read());

@@ -24,8 +24,6 @@
 #include "common/experiment.h"
 #include "common/rng.h"
 #include "harness/cluster.h"
-#include "harness/raft_cluster.h"
-#include "harness/vr_cluster.h"
 #include "metrics/stats.h"
 #include "metrics/table.h"
 #include "object/kv_object.h"
@@ -120,10 +118,11 @@ double read_fraction(const std::string& workload) {
   return 0.5;  // mixed
 }
 
-// Drives any harness exposing submit/run_for/await_quiesce/sim/history.
-template <class ClusterT>
-int drive(ClusterT& cluster, const Options& options,
-          const std::function<int()>& leader_of) {
+// `overrides` are recorded in the artifact's config (chtread only).
+template <class Stack>
+int drive(harness::StackCluster<Stack>& cluster, const Options& options,
+          const core::ConfigOverrides& overrides = {}) {
+  cluster.await_leader(Duration::seconds(30));
   if (options.trace > 0) {
     // Record protocol-level events only (network tracing would dwarf them).
     cluster.sim().trace().enable(/*include_network=*/false);
@@ -147,7 +146,7 @@ int drive(ClusterT& cluster, const Options& options,
     if (!crashed && options.crash_leader_at_ms >= 0 &&
         cluster.sim().now() >=
             RealTime::zero() + Duration::millis(options.crash_leader_at_ms)) {
-      const int leader = leader_of();
+      const int leader = cluster.leader();
       if (leader >= 0) {
         std::cout << "[crash] killing leader p" << leader << " at "
                   << cluster.sim().now().to_millis_f() << " ms\n";
@@ -210,11 +209,7 @@ int drive(ClusterT& cluster, const Options& options,
                                          .to_micros());
   result.latency("reads", read_lat);
   result.latency("rmws", write_lat);
-  if constexpr (requires { cluster.overrides(); }) {
-    result.config(options.protocol, cluster.config(), cluster.overrides());
-  } else {
-    result.config(options.protocol, cluster.config());
-  }
+  result.config(options.protocol, cluster.config(), overrides);
   result.observe(options.protocol, cluster);
 
   if (!quiesced) {
@@ -257,21 +252,18 @@ int main(int argc, char** argv) {
       overrides.read_policy = core::ReadPolicy::kAnyPendingBlocks;
     }
     harness::Cluster cluster(cluster_config(options), model, overrides);
-    cluster.await_steady_leader(Duration::seconds(30));
-    return drive(cluster, options, [&] { return cluster.steady_leader(); });
+    return drive(cluster, options, overrides);
   }
   if (options.protocol == "raft") {
     const raft::ReadMode mode = options.reads == "raft-lease"
                                     ? raft::ReadMode::kLeaderLease
                                     : raft::ReadMode::kReadIndex;
     harness::RaftCluster cluster(cluster_config(options), model, mode);
-    cluster.await_leader(Duration::seconds(30));
-    return drive(cluster, options, [&] { return cluster.leader(); });
+    return drive(cluster, options);
   }
   if (options.protocol == "vr") {
     harness::VrCluster cluster(cluster_config(options), model);
-    cluster.await_primary(Duration::seconds(30));
-    return drive(cluster, options, [&] { return cluster.primary(); });
+    return drive(cluster, options);
   }
   std::cerr << "unknown protocol: " << options.protocol << "\n";
   return 2;
