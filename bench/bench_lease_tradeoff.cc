@@ -61,12 +61,11 @@ TradeoffResult run(ExperimentResult& result, std::int64_t lease_multiple,
     cluster.await_quiesce(Duration::seconds(60));
     out.crash_write_delay = cluster.sim().now() - t0;
     // lease traffic over one steady second.
-    const auto before = cluster.sim().network().stats().sent_of(
-        core::msg::kLeaseGrant);
+    const auto& stats = cluster.sim().network().stats();
+    const auto before = stats.sent_of(core::msg::LeaseGrant::kType);
     cluster.run_for(Duration::seconds(1));
     out.lease_msgs_per_sec = static_cast<double>(
-        cluster.sim().network().stats().sent_of(core::msg::kLeaseGrant) -
-        before);
+        stats.sent_of(core::msg::LeaseGrant::kType) - before);
     const std::string label = "lease-" + std::to_string(lease_multiple) + "x";
     result.config(label, cluster.config(), cluster.options());
     result.observe(label, cluster);

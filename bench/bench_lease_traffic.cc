@@ -30,11 +30,10 @@ double ours_per_period(ExperimentResult& result, int n, bool observe) {
   cluster.await_steady_leader(Duration::seconds(10));
   cluster.run_for(Duration::seconds(1));
   const Duration window = cluster.replica_config().lease_renew_interval * 20;
-  const auto before =
-      cluster.sim().network().stats().sent_of(core::msg::kLeaseGrant);
+  const auto& stats = cluster.sim().network().stats();
+  const auto before = stats.sent_of(core::msg::LeaseGrant::kType);
   cluster.run_for(window);
-  const auto grants =
-      cluster.sim().network().stats().sent_of(core::msg::kLeaseGrant) - before;
+  const auto grants = stats.sent_of(core::msg::LeaseGrant::kType) - before;
   if (observe) {
     const std::string label = "ours-n" + std::to_string(n);
     result.config(label, cluster.config(), cluster.options());

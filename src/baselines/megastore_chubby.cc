@@ -35,27 +35,26 @@ bool ChubbyService::session_alive(int client) {
 }
 
 void ChubbyService::on_message(const sim::Message& message) {
-  if (message.is(chubby_msg::kKeepAlive)) {
-    session_expiry_.at(message.from.index()) =
-        now_local() + config_.session_ttl;
-    // Durable before the grant leaves: a restarted service must not think a
-    // granted, still-running session has expired. KeepAlives from several
-    // clients pending in one group-commit window share a covering sync and
-    // their grants leave as one burst.
-    persist_session(message.from.index());
-    const ProcessId client = message.from;
-    request_sync([this, client] {
-      send(client, chubby_msg::kLeaseGrant,
-           chubby_msg::LeaseGrant{config_.session_ttl});
-    });
-  } else if (message.is(chubby_msg::kQuery)) {
-    const auto& query = message.as<chubby_msg::Query>();
-    send(message.from, chubby_msg::kQueryReply,
-         chubby_msg::QueryReply{query.subject, query.query_id,
-                                !session_alive(query.subject)});
-  } else {
+  if (!Inbox::dispatch(message, *this)) {
     CHT_UNREACHABLE("unknown message type for chubby service");
   }
+}
+
+void ChubbyService::on(ProcessId client, const chubby_msg::KeepAlive&) {
+  session_expiry_.at(client.index()) = now_local() + config_.session_ttl;
+  // Durable before the grant leaves: a restarted service must not think a
+  // granted, still-running session has expired. KeepAlives from several
+  // clients pending in one group-commit window share a covering sync and
+  // their grants leave as one burst.
+  persist_session(client.index());
+  request_sync([this, client] {
+    send(client, chubby_msg::LeaseGrant{config_.session_ttl});
+  });
+}
+
+void ChubbyService::on(ProcessId from, const chubby_msg::Query& query) {
+  send(from, chubby_msg::QueryReply{query.subject, query.query_id,
+                                    !session_alive(query.subject)});
 }
 
 // ===========================================================================
@@ -66,7 +65,7 @@ void MegastoreNode::on_start() { keepalive_tick(); }
 
 void MegastoreNode::keepalive_tick() {
   if (keepalives_enabled_) {
-    send(chubby_, chubby_msg::kKeepAlive, chubby_msg::KeepAlive{});
+    send(chubby_, chubby_msg::KeepAlive{});
   }
   schedule_after(config_.keepalive_interval, [this] { keepalive_tick(); });
 }
@@ -97,32 +96,35 @@ void MegastoreNode::query_tick(std::int64_t write_seq) {
   for (int subject : it->second.awaiting_invalidation) {
     const std::int64_t qid = ++query_seq_;
     query_to_write_[qid] = write_seq;
-    send(chubby_, chubby_msg::kQuery, chubby_msg::Query{subject, qid});
+    send(chubby_, chubby_msg::Query{subject, qid});
   }
   it->second.retry_timer = schedule_after(
       config_.query_retry, [this, write_seq] { query_tick(write_seq); });
 }
 
 void MegastoreNode::on_message(const sim::Message& message) {
-  if (message.is(chubby_msg::kLeaseGrant)) {
-    lease_until_ = now_local() + message.as<chubby_msg::LeaseGrant>().ttl;
-  } else if (message.is(chubby_msg::kQueryReply)) {
-    const auto& reply = message.as<chubby_msg::QueryReply>();
-    auto mapped = query_to_write_.find(reply.query_id);
-    if (mapped == query_to_write_.end()) return;
-    const std::int64_t write_seq = mapped->second;
-    query_to_write_.erase(mapped);
-    if (!reply.session_expired) return;
-    auto it = pending_.find(write_seq);
-    if (it == pending_.end()) return;
-    it->second.awaiting_invalidation.erase(reply.subject);
-    if (it->second.awaiting_invalidation.empty()) {
-      it->second.retry_timer.cancel();
-      pending_.erase(it);
-      ++writes_completed_;
-    }
-  } else {
+  if (!Inbox::dispatch(message, *this)) {
     CHT_UNREACHABLE("unknown message type for megastore node");
+  }
+}
+
+void MegastoreNode::on(ProcessId, const chubby_msg::LeaseGrant& grant) {
+  lease_until_ = now_local() + grant.ttl;
+}
+
+void MegastoreNode::on(ProcessId, const chubby_msg::QueryReply& reply) {
+  auto mapped = query_to_write_.find(reply.query_id);
+  if (mapped == query_to_write_.end()) return;
+  const std::int64_t write_seq = mapped->second;
+  query_to_write_.erase(mapped);
+  if (!reply.session_expired) return;
+  auto it = pending_.find(write_seq);
+  if (it == pending_.end()) return;
+  it->second.awaiting_invalidation.erase(reply.subject);
+  if (it->second.awaiting_invalidation.empty()) {
+    it->second.retry_timer.cancel();
+    pending_.erase(it);
+    ++writes_completed_;
   }
 }
 

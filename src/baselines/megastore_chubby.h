@@ -26,10 +26,12 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "common/time.h"
 #include "common/types.h"
+#include "sim/message.h"
 #include "sim/process.h"
 
 namespace cht::baselines {
@@ -41,23 +43,24 @@ struct ChubbyConfig {
 };
 
 namespace chubby_msg {
-inline constexpr const char* kKeepAlive = "chubby.keepalive";
-inline constexpr const char* kLeaseGrant = "chubby.leasegrant";
-inline constexpr const char* kQuery = "chubby.query";
-inline constexpr const char* kQueryReply = "chubby.queryreply";
 
-struct KeepAlive {};
+struct KeepAlive {
+  static constexpr std::string_view kType = "chubby.keepalive";
+};
 struct LeaseGrant {
+  static constexpr std::string_view kType = "chubby.leasegrant";
   Duration ttl;
 };
 struct Query {
-  int subject;           // whose session is being asked about
-  std::int64_t query_id;
+  static constexpr std::string_view kType = "chubby.query";
+  int subject = 0;  // whose session is being asked about
+  std::int64_t query_id = 0;
 };
 struct QueryReply {
-  int subject;
-  std::int64_t query_id;
-  bool session_expired;
+  static constexpr std::string_view kType = "chubby.queryreply";
+  int subject = 0;
+  std::int64_t query_id = 0;
+  bool session_expired = false;
 };
 }  // namespace chubby_msg
 
@@ -74,10 +77,14 @@ class ChubbyService : public sim::Process {
   // invalidate a replica whose lease is still running.
   void on_restart() override;
   void on_message(const sim::Message& message) override;
+  using Inbox = sim::Inbox<chubby_msg::KeepAlive, chubby_msg::Query>;
 
   bool session_alive(int client);
 
  private:
+  friend Inbox;
+  void on(ProcessId client, const chubby_msg::KeepAlive& keepalive);
+  void on(ProcessId from, const chubby_msg::Query& query);
   void persist_session(int client);
 
   ChubbyConfig config_;
@@ -93,6 +100,7 @@ class MegastoreNode : public sim::Process {
 
   void on_start() override;
   void on_message(const sim::Message& message) override;
+  using Inbox = sim::Inbox<chubby_msg::LeaseGrant, chubby_msg::QueryReply>;
 
   // Begins a write for which `non_ackers` did not acknowledge: it completes
   // once Chubby confirms each of their sessions expired. (Acks themselves
@@ -116,6 +124,9 @@ class MegastoreNode : public sim::Process {
     sim::EventHandle retry_timer;
   };
 
+  friend Inbox;
+  void on(ProcessId from, const chubby_msg::LeaseGrant& grant);
+  void on(ProcessId from, const chubby_msg::QueryReply& reply);
   void keepalive_tick();
   void query_tick(std::int64_t write_seq);
 

@@ -49,7 +49,7 @@ void Client::send_current() {
   Pending& pending = *current_;
   msg::ClientRequest request{pending.id, pending.op, pending.is_read,
                              pending.leader_only};
-  send(ProcessId(target_for(pending)), msg::kRequest, std::move(request));
+  send(ProcessId(target_for(pending)), std::move(request));
   arm_timer();
 }
 
@@ -81,29 +81,29 @@ void Client::on_timeout() {
 }
 
 void Client::on_message(const sim::Message& message) {
-  if (message.is(msg::kReply)) {
-    const auto& reply = message.as<msg::ClientReply>();
-    if (!current_ || reply.id != current_->id) {
-      metrics_.add("client.late_replies");
-      return;
-    }
-    complete(reply.response);
+  // Anything else (a replica-protocol message) is not for clients.
+  Inbox::dispatch(message, *this);
+}
+
+void Client::on(ProcessId, const msg::ClientReply& reply) {
+  if (!current_ || reply.id != current_->id) {
+    metrics_.add("client.late_replies");
     return;
   }
-  if (message.is(msg::kRedirect)) {
-    const auto& redirect = message.as<msg::Redirect>();
-    if (!current_ || redirect.id != current_->id) return;
-    metrics_.add("client.redirects");
-    Pending& pending = *current_;
-    if (redirect.leader_hint >= 0 && redirect.leader_hint < cluster_size() &&
-        pending.redirect_hops < cluster_size()) {
-      ++pending.redirect_hops;
-      leader_hint_ = redirect.leader_hint;
-      send_current();
-    }
-    // Hint unknown or hop budget spent: wait for the timeout to rotate.
-    return;
+  complete(reply.response);
+}
+
+void Client::on(ProcessId, const msg::Redirect& redirect) {
+  if (!current_ || redirect.id != current_->id) return;
+  metrics_.add("client.redirects");
+  Pending& pending = *current_;
+  if (redirect.leader_hint >= 0 && redirect.leader_hint < cluster_size() &&
+      pending.redirect_hops < cluster_size()) {
+    ++pending.redirect_hops;
+    leader_hint_ = redirect.leader_hint;
+    send_current();
   }
+  // Hint unknown or hop budget spent: wait for the timeout to rotate.
 }
 
 void Client::complete(const std::string& response) {

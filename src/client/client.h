@@ -36,6 +36,7 @@
 #include "common/types.h"
 #include "metrics/registry.h"
 #include "object/object.h"
+#include "sim/message.h"
 #include "sim/process.h"
 
 namespace cht::client {
@@ -82,6 +83,8 @@ class Client : public sim::Process {
                      DispatchHook on_dispatch = nullptr);
 
   void on_message(const sim::Message& message) override;
+  // Replies and redirects; anything else is ignored.
+  using Inbox = sim::Inbox<msg::ClientReply, msg::Redirect>;
 
   metrics::Registry& metrics() { return metrics_; }
   const metrics::Registry& metrics() const { return metrics_; }
@@ -102,6 +105,9 @@ class Client : public sim::Process {
     RealTime begun;
   };
 
+  friend Inbox;
+  void on(ProcessId from, const msg::ClientReply& reply);
+  void on(ProcessId from, const msg::Redirect& redirect);
   void dispatch_current();
   void send_current();
   void arm_timer();

@@ -2,48 +2,43 @@
 
 namespace cht::client {
 
-bool ReplicaGateway::handle(const sim::Message& message) {
-  if (!message.is(msg::kRequest)) return false;
-  const auto& request = message.as<msg::ClientRequest>();
-
+void ReplicaGateway::on(ProcessId from, const msg::ClientRequest& request) {
   if (request.is_read) {
     if ((request.leader_only || !hooks_.local_reads) && !hooks_.is_leader()) {
-      redirect(message.from, request.id);
-      return true;
+      redirect(from, request.id);
+      return;
     }
     if (metrics_) metrics_->add("gateway.reads");
-    const ProcessId from = message.from;
     const OperationId id = request.id;
     hooks_.submit_read(request.op, [this, from, id](std::string response) {
       reply(from, id, response);
     });
-    return true;
+    return;
   }
 
   switch (sessions_.admit(request.id)) {
     case SessionTable::Admit::kStale:
       if (metrics_) metrics_->add("gateway.stale_dropped");
-      return true;
+      return;
     case SessionTable::Admit::kDuplicate:
       if (metrics_) metrics_->add("gateway.dup_replies");
-      reply(message.from, request.id, *sessions_.cached(request.id));
-      return true;
+      reply(from, request.id, *sessions_.cached(request.id));
+      return;
     case SessionTable::Admit::kFresh:
       break;
   }
   if (!hooks_.accepts_rmw()) {
-    redirect(message.from, request.id);
-    return true;
+    redirect(from, request.id);
+    return;
   }
   if (metrics_) metrics_->add("gateway.rmws");
   // Remember (or refresh) the waiter first: submit_rmw may apply and reply
   // synchronously in a single-replica cluster.
-  rmw_waiters_[request.id.process.index()] = {request.id, message.from};
+  rmw_waiters_[request.id.process.index()] = {request.id, from};
   // Always (re)submit on a fresh id — the stack dedups ids already pending
   // or in its log, and a retry after this replica lost and regained
   // leadership may genuinely need the re-injection.
   hooks_.submit_rmw(request.id, request.op);
-  return true;
 }
 
 void ReplicaGateway::on_applied(const OperationId& id,
@@ -59,12 +54,12 @@ void ReplicaGateway::on_applied(const OperationId& id,
 
 void ReplicaGateway::reply(ProcessId to, const OperationId& id,
                            const std::string& response) {
-  host_.send(to, msg::kReply, msg::ClientReply{id, response});
+  host_.send(to, msg::ClientReply{id, response});
 }
 
 void ReplicaGateway::redirect(ProcessId to, const OperationId& id) {
   if (metrics_) metrics_->add("gateway.redirects");
-  host_.send(to, msg::kRedirect, msg::Redirect{id, hooks_.leader_hint()});
+  host_.send(to, msg::Redirect{id, hooks_.leader_hint()});
 }
 
 }  // namespace cht::client

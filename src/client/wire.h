@@ -22,6 +22,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "common/types.h"
 #include "object/object.h"
@@ -29,11 +30,8 @@
 namespace cht::client {
 namespace msg {
 
-inline constexpr const char* kRequest = "client.request";
-inline constexpr const char* kReply = "client.reply";
-inline constexpr const char* kRedirect = "client.redirect";
-
 struct ClientRequest {
+  static constexpr std::string_view kType = "client.request";
   OperationId id;
   object::Operation op;
   bool is_read = false;
@@ -41,11 +39,13 @@ struct ClientRequest {
 };
 
 struct ClientReply {
+  static constexpr std::string_view kType = "client.reply";
   OperationId id;
   std::string response;
 };
 
 struct Redirect {
+  static constexpr std::string_view kType = "client.redirect";
   OperationId id;
   int leader_hint = -1;
 };

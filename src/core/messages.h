@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "common/time.h"
@@ -59,37 +60,26 @@ struct Lease {
 
 namespace msg {
 
-inline constexpr const char* kRmwRequest = "core.rmw";
-inline constexpr const char* kEstReq = "core.estreq";
-inline constexpr const char* kEstReply = "core.estreply";
-inline constexpr const char* kPrepare = "core.prepare";
-inline constexpr const char* kPrepareAck = "core.prepareack";
-inline constexpr const char* kCommit = "core.commit";
-inline constexpr const char* kLeaseGrant = "core.leasegrant";
-inline constexpr const char* kLeaseRequest = "core.leaserequest";
-inline constexpr const char* kBatchRequest = "core.batchrequest";
-inline constexpr const char* kBatchReply = "core.batchreply";
-// Only used by ReadPolicy::kLeaderForward (baseline): the paper's algorithm
-// never sends messages for reads.
-inline constexpr const char* kReadRequest = "core.readrequest";
-inline constexpr const char* kReadReply = "core.readreply";
-
 struct RmwRequest {
+  static constexpr std::string_view kType = "core.rmw";
   OperationId id;
   object::Operation op;
 };
 
 struct EstReq {
+  static constexpr std::string_view kType = "core.estreq";
   LocalTime leader_time;  // when the sender became leader
 };
 
 struct EstReply {
+  static constexpr std::string_view kType = "core.estreply";
   LocalTime leader_time;               // echoed from the request
   std::optional<Estimate> estimate;    // responder's estimate, if any
   std::optional<Batch> prev_batch;     // responder's Batch[estimate.k - 1]
 };
 
 struct Prepare {
+  static constexpr std::string_view kType = "core.prepare";
   Batch ops;              // the batch O being proposed
   LocalTime leader_time;  // t: when the proposing leader became leader
   BatchNumber number = 0;     // j
@@ -97,38 +87,49 @@ struct Prepare {
 };
 
 struct PrepareAck {
+  static constexpr std::string_view kType = "core.prepareack";
   LocalTime leader_time;
   BatchNumber number = 0;
 };
 
 struct Commit {
+  static constexpr std::string_view kType = "core.commit";
   Batch ops;
   BatchNumber number = 0;
 };
 
 struct LeaseGrant {
+  static constexpr std::string_view kType = "core.leasegrant";
   BatchNumber batch = 0;            // latest committed batch number
   LocalTime issued;             // leader's local time of issue
   std::set<int> leaseholders;   // current leaseholder set (process indices)
 };
 
-struct LeaseRequest {};
+struct LeaseRequest {
+  static constexpr std::string_view kType = "core.leaserequest";
+};
 
 struct BatchRequest {
+  static constexpr std::string_view kType = "core.batchrequest";
   BatchNumber number = 0;
 };
 
 struct BatchReply {
+  static constexpr std::string_view kType = "core.batchreply";
   BatchNumber number = 0;
   Batch ops;
 };
 
+// Only used by ReadPolicy::kLeaderForward (baseline): the paper's algorithm
+// never sends messages for reads.
 struct ReadRequest {
+  static constexpr std::string_view kType = "core.readrequest";
   OperationId id;
   object::Operation op;
 };
 
 struct ReadReply {
+  static constexpr std::string_view kType = "core.readreply";
   OperationId id;
   object::Response response;
 };

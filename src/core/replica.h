@@ -45,6 +45,7 @@
 #include "metrics/registry.h"
 #include "metrics/span.h"
 #include "object/object.h"
+#include "sim/message.h"
 #include "sim/process.h"
 
 namespace cht::core {
@@ -81,6 +82,14 @@ class Replica : public sim::Process {
   // restored — a recovered process re-earns reads via a fresh LeaseGrant.
   void on_restart() override;
   void on_message(const sim::Message& message) override;
+  // What on_message dispatches to this replica's handlers, once the clock
+  // guard has observed the message and Omega, the ELS and the client
+  // gateway have declined it.
+  using Inbox =
+      sim::Inbox<msg::RmwRequest, msg::EstReq, msg::EstReply, msg::Prepare,
+                 msg::PrepareAck, msg::Commit, msg::LeaseGrant,
+                 msg::LeaseRequest, msg::ReadRequest, msg::ReadReply,
+                 msg::BatchRequest, msg::BatchReply>;
 
   // --- Introspection (tests, invariant checkers, benches) -------------------
   enum class Phase { kFollower, kCollecting, kFetching, kInitDoOps, kSteady };
@@ -171,7 +180,7 @@ class Replica : public sim::Process {
 
   // Leader initialization (lines 26-36).
   void send_est_reqs();
-  void on_est_reply(ProcessId from, const msg::EstReply& reply);
+  void on(ProcessId from, const msg::EstReply& reply);
   void maybe_finish_collecting();
   void fetch_tick();
   void maybe_finish_fetching();
@@ -180,7 +189,7 @@ class Replica : public sim::Process {
   // DoOps (lines 52-70).
   void start_doops(Batch ops, BatchNumber number, bool initial);
   void send_prepares();
-  void on_prepare_ack(ProcessId from, const msg::PrepareAck& ack);
+  void on(ProcessId from, const msg::PrepareAck& ack);
   void maybe_reach_majority();
   // How long after Prepares start before condition (ii) of the leaseholder
   // gate may fire: the paper's 2*delta message round trip, widened by the
@@ -200,16 +209,20 @@ class Replica : public sim::Process {
   void issue_leases(LocalTime now);
   void maybe_start_next_batch();
 
-  // Message handling (thread 3 + parts of thread 2).
-  void on_rmw_request(ProcessId from, const msg::RmwRequest& request);
+  // Message handling (thread 3 + parts of thread 2): one on() overload per
+  // Inbox entry.
+  friend Inbox;
+  void on(ProcessId from, const msg::RmwRequest& request);
   void forward_read_send(const OperationId& id);
-  void on_read_request(ProcessId from, const msg::ReadRequest& request);
-  void on_read_reply(const msg::ReadReply& reply);
-  void on_est_req(ProcessId from, const msg::EstReq& request);
-  void on_prepare(ProcessId from, const msg::Prepare& prepare);
-  void on_commit(const msg::Commit& commit);
-  void on_lease_grant(ProcessId from, const msg::LeaseGrant& grant);
-  void on_batch_request(ProcessId from, const msg::BatchRequest& request);
+  void on(ProcessId from, const msg::ReadRequest& request);
+  void on(ProcessId from, const msg::ReadReply& reply);
+  void on(ProcessId from, const msg::EstReq& request);
+  void on(ProcessId from, const msg::Prepare& prepare);
+  void on(ProcessId from, const msg::Commit& commit);
+  void on(ProcessId from, const msg::LeaseGrant& grant);
+  void on(ProcessId from, const msg::LeaseRequest& request);
+  void on(ProcessId from, const msg::BatchRequest& request);
+  void on(ProcessId from, const msg::BatchReply& reply);
 
   // Shared machinery.
   void adopt_estimate(Batch ops, LocalTime t, BatchNumber j);

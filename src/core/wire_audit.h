@@ -1,6 +1,6 @@
 // Compile-time audit of wire-format structs (detlint rule D5's runtime-free
-// counterpart). Pulled in by tests only — it includes every protocol's
-// message header, so it must never be included from protocol code itself.
+// counterpart). Pulled in by tests only — it includes every receiver's
+// header, so it must never be included from protocol code itself.
 //
 // Two tiers:
 //   - Fixed-size payloads (no vectors/strings/optionals) must be trivially
@@ -9,18 +9,25 @@
 //     bits (every scalar field carries a member initializer, enforced
 //     statically by detlint D5 and exercised here via value-initialization
 //     equality in the determinism tests).
-//   - Variable-size payloads (carrying Batch/std::vector/std::string)
-//     cannot be trivially copyable, but their handles must still be
-//     default-constructible and copyable so the simulated network's
-//     std::any envelopes behave like value serialization.
+//   - Every message any receiver's Inbox lists must at least be a value:
+//     default-constructible and copyable, as serialization would need. The
+//     check folds over the inboxes themselves, so a new message type is
+//     covered the moment a receiver lists it.
 #pragma once
 
 #include <type_traits>
 
+#include "baselines/megastore_chubby.h"
+#include "baselines/pql_lease.h"
+#include "client/client.h"
+#include "client/gateway.h"
 #include "client/wire.h"
 #include "common/time.h"
 #include "common/types.h"
 #include "core/messages.h"
+#include "core/replica.h"
+#include "leader/enhanced_leader.h"
+#include "leader/omega.h"
 #include "raft/raft.h"
 #include "sim/message.h"
 #include "vr/vr.h"
@@ -37,6 +44,12 @@ inline constexpr bool wire_value_v =
     std::is_default_constructible_v<T> && std::is_copy_constructible_v<T> &&
     std::is_copy_assignable_v<T>;
 
+template <class Inbox>
+inline constexpr bool inbox_values_v = false;
+template <class... Ts>
+inline constexpr bool inbox_values_v<sim::Inbox<Ts...>> =
+    (wire_value_v<Ts> && ...);
+
 // --- Identifier & time vocabulary (common/) ---------------------------------
 static_assert(wire_scalar_v<ProcessId>);
 static_assert(wire_scalar_v<OperationId>);
@@ -45,48 +58,38 @@ static_assert(wire_scalar_v<LocalTime>);
 static_assert(wire_scalar_v<RealTime>);
 static_assert(wire_scalar_v<BatchNumber>);
 
-// --- Paper algorithm (core/messages.h) --------------------------------------
+// --- Fixed-size payloads ----------------------------------------------------
 static_assert(wire_scalar_v<core::Lease>);
 static_assert(wire_scalar_v<core::msg::EstReq>);
 static_assert(wire_scalar_v<core::msg::PrepareAck>);
 static_assert(wire_scalar_v<core::msg::LeaseRequest>);
 static_assert(wire_scalar_v<core::msg::BatchRequest>);
-static_assert(wire_value_v<core::Estimate>);
-static_assert(wire_value_v<core::msg::RmwRequest>);
-static_assert(wire_value_v<core::msg::EstReply>);
-static_assert(wire_value_v<core::msg::Prepare>);
-static_assert(wire_value_v<core::msg::Commit>);
-static_assert(wire_value_v<core::msg::LeaseGrant>);
-static_assert(wire_value_v<core::msg::BatchReply>);
-static_assert(wire_value_v<core::msg::ReadRequest>);
-static_assert(wire_value_v<core::msg::ReadReply>);
-
-// --- Raft baseline (raft/raft.h) --------------------------------------------
 static_assert(wire_scalar_v<raft::msg::RequestVote>);
 static_assert(wire_scalar_v<raft::msg::VoteReply>);
 static_assert(wire_scalar_v<raft::msg::AppendReply>);
-static_assert(wire_value_v<raft::LogEntry>);
-static_assert(wire_value_v<raft::msg::AppendEntries>);
-static_assert(wire_value_v<raft::msg::ClientRmw>);
-static_assert(wire_value_v<raft::msg::ClientRead>);
-static_assert(wire_value_v<raft::msg::ReadReply>);
-
-// --- Viewstamped Replication baseline (vr/vr.h) -----------------------------
 static_assert(wire_scalar_v<vr::msg::PrepareOk>);
 static_assert(wire_scalar_v<vr::msg::Commit>);
 static_assert(wire_scalar_v<vr::msg::StartViewChange>);
 static_assert(wire_scalar_v<vr::msg::GetState>);
-static_assert(wire_value_v<vr::VrLogEntry>);
-static_assert(wire_value_v<vr::msg::Request>);
-static_assert(wire_value_v<vr::msg::Prepare>);
-static_assert(wire_value_v<vr::msg::DoViewChange>);
-static_assert(wire_value_v<vr::msg::StartView>);
-static_assert(wire_value_v<vr::msg::NewState>);
-
-// --- Networked client path (client/wire.h) ----------------------------------
 static_assert(wire_scalar_v<client::msg::Redirect>);
-static_assert(wire_value_v<client::msg::ClientRequest>);
-static_assert(wire_value_v<client::msg::ClientReply>);
+
+// --- Every inbox ------------------------------------------------------------
+static_assert(inbox_values_v<core::Replica::Inbox>);
+static_assert(inbox_values_v<raft::RaftReplica::Inbox>);
+static_assert(inbox_values_v<vr::VrReplica::Inbox>);
+static_assert(inbox_values_v<vr::VrReplica::RecoveryInbox>);
+static_assert(inbox_values_v<client::Client::Inbox>);
+static_assert(inbox_values_v<client::ReplicaGateway::Inbox>);
+static_assert(inbox_values_v<leader::OmegaDetector::Inbox>);
+static_assert(inbox_values_v<leader::EnhancedLeaderService::Inbox>);
+static_assert(inbox_values_v<baselines::PqlProcess::Inbox>);
+static_assert(inbox_values_v<baselines::ChubbyService::Inbox>);
+static_assert(inbox_values_v<baselines::MegastoreNode::Inbox>);
+// Entries travel inside message vectors/optionals, whose copyability the
+// inbox fold cannot see through.
+static_assert(wire_value_v<core::Estimate>);
+static_assert(wire_value_v<raft::LogEntry>);
+static_assert(wire_value_v<vr::VrLogEntry>);
 
 // --- Simulator envelope (sim/message.h) -------------------------------------
 static_assert(wire_value_v<sim::Message>);

@@ -74,20 +74,13 @@ void EnhancedLeaderService::support_tick() {
 void EnhancedLeaderService::deliver_grant(ProcessId target,
                                           const SupportGrant& grant) {
   if (target == host_.id()) {
-    record_support(host_.id(), grant);  // self-support needs no message
+    on(host_.id(), grant);  // self-support needs no message
   } else {
-    host_.send(target, kSupportType, grant);
+    host_.send(target, grant);
   }
 }
 
-bool EnhancedLeaderService::handle_message(const sim::Message& message) {
-  if (!message.is(kSupportType)) return false;
-  record_support(message.from, message.as<SupportGrant>());
-  return true;
-}
-
-void EnhancedLeaderService::record_support(ProcessId from,
-                                           const SupportGrant& grant) {
+void EnhancedLeaderService::on(ProcessId from, const SupportGrant& grant) {
   SupporterRecord& record = supports_[from.index()];
   std::vector<Interval>& intervals = record[grant.counter];
   // Merge with the previous interval when overlapping or adjacent (the

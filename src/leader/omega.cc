@@ -2,24 +2,18 @@
 
 namespace cht::leader {
 
-namespace {
-struct Heartbeat {};
-}  // namespace
-
 void OmegaDetector::start() {
   last_seen_.assign(host_.cluster_size(), LocalTime::min());
   send_heartbeat();
 }
 
 void OmegaDetector::send_heartbeat() {
-  host_.broadcast(kHeartbeatType, Heartbeat{});
+  host_.broadcast(Heartbeat{});
   host_.schedule_after(config_.heartbeat_interval, [this] { send_heartbeat(); });
 }
 
-bool OmegaDetector::handle_message(const sim::Message& message) {
-  if (!message.is(kHeartbeatType)) return false;
-  last_seen_.at(message.from.index()) = host_.now_local();
-  return true;
+void OmegaDetector::on(ProcessId from, const Heartbeat&) {
+  last_seen_.at(from.index()) = host_.now_local();
 }
 
 ProcessId OmegaDetector::leader() {

@@ -60,7 +60,7 @@ RaftReplica::RaftReplica(std::shared_ptr<const object::ObjectModel> model,
   hooks.submit_rmw = [this](const OperationId& id,
                             const object::Operation& op) {
     // ids_in_log_ dedups retries whose entry already survives in our log.
-    on_client_rmw(this->id(), msg::ClientRmw{id, op});
+    on(this->id(), msg::ClientRmw{id, op});
   };
   hooks.submit_read = [this](const object::Operation& op,
                              std::function<void(std::string)> done) {
@@ -177,8 +177,8 @@ void RaftReplica::start_election() {
     if (role_ != Role::kCandidate || term_ != t) {
       return;  // a leader emerged (or a newer term) while the sync ran
     }
-    broadcast(msg::kRequestVote, msg::RequestVote{term_, last_log_index(),
-                                                  term_at(last_log_index())});
+    broadcast(msg::RequestVote{term_, last_log_index(),
+                               term_at(last_log_index())});
     reset_election_timer();
     if (static_cast<int>(votes_.size()) >= majority()) become_leader();  // n == 1
   });
@@ -234,15 +234,14 @@ void RaftReplica::become_leader() {
   heartbeat_tick();
 }
 
-void RaftReplica::on_request_vote(ProcessId from,
-                                  const msg::RequestVote& request) {
+void RaftReplica::on(ProcessId from, const msg::RequestVote& request) {
   // Leader stickiness: while we recently heard from (or were) a live leader,
   // disregard the request entirely — not even a term bump. Required for
   // lease-read safety and prevents a rejoining partitioned node with an
   // inflated term from disrupting a healthy leader.
   if (last_leader_contact_ != LocalTime::min() &&
       now_local() < last_leader_contact_ + config_.election_timeout_min) {
-    send(from, msg::kVoteReply, msg::VoteReply{term_, false});
+    send(from, msg::VoteReply{term_, false});
     return;
   }
   if (request.term > term_) become_follower(request.term);
@@ -266,15 +265,15 @@ void RaftReplica::on_request_vote(ProcessId from,
       reset_election_timer();
       const std::int64_t t = term_;
       request_sync([this, from, t] {
-        send(from, msg::kVoteReply, msg::VoteReply{t, true});
+        send(from, msg::VoteReply{t, true});
       });
       return;
     }
   }
-  send(from, msg::kVoteReply, msg::VoteReply{term_, granted});
+  send(from, msg::VoteReply{term_, granted});
 }
 
-void RaftReplica::on_vote_reply(ProcessId from, const msg::VoteReply& reply) {
+void RaftReplica::on(ProcessId from, const msg::VoteReply& reply) {
   if (reply.term > term_) {
     become_follower(reply.term);
     return;
@@ -310,16 +309,14 @@ void RaftReplica::send_append(ProcessId to) {
   for (std::int64_t i = next; i <= last_log_index(); ++i) {
     append.entries.push_back(log_.at(static_cast<std::size_t>(i - 1)));
   }
-  send(to, msg::kAppendEntries, append);
+  send(to, append);
 }
 
-void RaftReplica::on_append_entries(ProcessId from,
-                                    const msg::AppendEntries& append) {
+void RaftReplica::on(ProcessId from, const msg::AppendEntries& append) {
   if (append.term > term_) become_follower(append.term);
   if (append.term < term_) {
-    send(from, msg::kAppendReply,
-         msg::AppendReply{term_, false, last_log_index(), append.probe_seq,
-                          append.lease_stamp});
+    send(from, msg::AppendReply{term_, false, last_log_index(),
+                                append.probe_seq, append.lease_stamp});
     return;
   }
   // append.term == term_: `from` is the legitimate leader of this term.
@@ -335,9 +332,8 @@ void RaftReplica::on_append_entries(ProcessId from,
 
   if (append.prev_index > last_log_index() ||
       term_at(append.prev_index) != append.prev_term) {
-    send(from, msg::kAppendReply,
-         msg::AppendReply{term_, false, last_log_index(), append.probe_seq,
-                          append.lease_stamp});
+    send(from, msg::AppendReply{term_, false, last_log_index(),
+                                append.probe_seq, append.lease_stamp});
     return;
   }
   // Append, truncating conflicting suffixes.
@@ -369,7 +365,7 @@ void RaftReplica::on_append_entries(ProcessId from,
       commit_index_ = std::min(leader_commit, last_log_index());
       apply_committed();
     }
-    send(from, msg::kAppendReply, reply);
+    send(from, reply);
   };
   if (log_changed) {
     request_sync([this, appended_upto, complete] {
@@ -381,8 +377,7 @@ void RaftReplica::on_append_entries(ProcessId from,
   }
 }
 
-void RaftReplica::on_append_reply(ProcessId from,
-                                  const msg::AppendReply& reply) {
+void RaftReplica::on(ProcessId from, const msg::AppendReply& reply) {
   if (reply.term > term_) {
     become_follower(reply.term);
     return;
@@ -477,29 +472,29 @@ void RaftReplica::client_send(const OperationId& id) {
   if (it->second.is_read) {
     const msg::ClientRead request{id, it->second.op};
     if (target == this->id()) {
-      on_client_read(this->id(), request);
+      on(this->id(), request);
       // A lease read at the leader completes synchronously and erases the
       // pending entry; the iterator is dead then.
       it = pending_ops_.find(id);
       if (it == pending_ops_.end()) return;
     } else {
-      send(target, msg::kClientRead, request);
+      send(target, request);
     }
   } else {
     const msg::ClientRmw request{id, it->second.op};
     if (target == this->id()) {
-      on_client_rmw(this->id(), request);
+      on(this->id(), request);
       it = pending_ops_.find(id);
       if (it == pending_ops_.end()) return;
     } else {
-      send(target, msg::kClientRmw, request);
+      send(target, request);
     }
   }
   it->second.retry_timer =
       schedule_after(config_.client_retry, [this, id] { client_send(id); });
 }
 
-void RaftReplica::on_client_rmw(ProcessId /*from*/, const msg::ClientRmw& rmw) {
+void RaftReplica::on(ProcessId /*from*/, const msg::ClientRmw& rmw) {
   if (role_ != Role::kLeader) return;  // submitter retries
   if (ids_in_log_.contains(rmw.id)) return;  // duplicate retry
   append_log_entry(LogEntry{term_, rmw.id, rmw.op});
@@ -518,7 +513,7 @@ void RaftReplica::on_client_rmw(ProcessId /*from*/, const msg::ClientRmw& rmw) {
   }
 }
 
-void RaftReplica::on_client_read(ProcessId from, const msg::ClientRead& read) {
+void RaftReplica::on(ProcessId from, const msg::ClientRead& read) {
   if (role_ != Role::kLeader) return;  // submitter retries
   if (config_.read_mode == ReadMode::kLeaderLease && clock_guard_.suspect()) {
     // Degraded: lease validity is clock arithmetic this replica no longer
@@ -530,9 +525,9 @@ void RaftReplica::on_client_read(ProcessId from, const msg::ClientRead& read) {
     const object::Response response = model_->apply(*state_, read.op);
     const msg::ReadReply reply{read.id, response};
     if (from == id()) {
-      on_message_read_reply(reply);
+      on(from, reply);
     } else {
-      send(from, msg::kReadReply, reply);
+      send(from, reply);
     }
     return;
   }
@@ -595,9 +590,9 @@ void RaftReplica::answer_read(const PendingLeaderRead& read) {
   const object::Response response = model_->apply(*state_, read.op);
   const msg::ReadReply reply{read.id, response};
   if (read.from == id()) {
-    on_message_read_reply(reply);
+    on(read.from, reply);
   } else {
-    send(read.from, msg::kReadReply, reply);
+    send(read.from, reply);
   }
 }
 
@@ -614,26 +609,12 @@ void RaftReplica::on_message(const sim::Message& message) {
     }
   }
   if (gateway_.handle(message)) return;
-  if (message.is(msg::kRequestVote)) {
-    on_request_vote(message.from, message.as<msg::RequestVote>());
-  } else if (message.is(msg::kVoteReply)) {
-    on_vote_reply(message.from, message.as<msg::VoteReply>());
-  } else if (message.is(msg::kAppendEntries)) {
-    on_append_entries(message.from, message.as<msg::AppendEntries>());
-  } else if (message.is(msg::kAppendReply)) {
-    on_append_reply(message.from, message.as<msg::AppendReply>());
-  } else if (message.is(msg::kClientRmw)) {
-    on_client_rmw(message.from, message.as<msg::ClientRmw>());
-  } else if (message.is(msg::kClientRead)) {
-    on_client_read(message.from, message.as<msg::ClientRead>());
-  } else if (message.is(msg::kReadReply)) {
-    on_message_read_reply(message.as<msg::ReadReply>());
-  } else {
+  if (!Inbox::dispatch(message, *this)) {
     CHT_UNREACHABLE("unknown message type for raft replica");
   }
 }
 
-void RaftReplica::on_message_read_reply(const msg::ReadReply& reply) {
+void RaftReplica::on(ProcessId, const msg::ReadReply& reply) {
   auto node = pending_ops_.extract(reply.id);
   if (node.empty()) return;
   node.mapped().retry_timer.cancel();

@@ -30,6 +30,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "client/gateway.h"
@@ -39,6 +40,7 @@
 #include "metrics/registry.h"
 #include "metrics/span.h"
 #include "object/object.h"
+#include "sim/message.h"
 #include "sim/process.h"
 
 namespace cht::raft {
@@ -75,26 +77,21 @@ struct LogEntry {
 
 namespace msg {
 
-inline constexpr const char* kRequestVote = "raft.requestvote";
-inline constexpr const char* kVoteReply = "raft.votereply";
-inline constexpr const char* kAppendEntries = "raft.appendentries";
-inline constexpr const char* kAppendReply = "raft.appendreply";
-inline constexpr const char* kClientRmw = "raft.clientrmw";
-inline constexpr const char* kClientRead = "raft.clientread";
-inline constexpr const char* kReadReply = "raft.readreply";
-
 struct RequestVote {
+  static constexpr std::string_view kType = "raft.requestvote";
   std::int64_t term = 0;
   std::int64_t last_log_index = 0;
   std::int64_t last_log_term = 0;
 };
 
 struct VoteReply {
+  static constexpr std::string_view kType = "raft.votereply";
   std::int64_t term = 0;
   bool granted = false;
 };
 
 struct AppendEntries {
+  static constexpr std::string_view kType = "raft.appendentries";
   std::int64_t term = 0;
   std::int64_t prev_index = 0;
   std::int64_t prev_term = 0;
@@ -109,6 +106,7 @@ struct AppendEntries {
 };
 
 struct AppendReply {
+  static constexpr std::string_view kType = "raft.appendreply";
   std::int64_t term = 0;
   bool success = false;
   std::int64_t match_index = 0;  // on success; on failure, follower's log length
@@ -117,16 +115,19 @@ struct AppendReply {
 };
 
 struct ClientRmw {
+  static constexpr std::string_view kType = "raft.clientrmw";
   OperationId id;
   object::Operation op;
 };
 
 struct ClientRead {
+  static constexpr std::string_view kType = "raft.clientread";
   OperationId id;
   object::Operation op;
 };
 
 struct ReadReply {
+  static constexpr std::string_view kType = "raft.readreply";
   OperationId id;
   object::Response response;
 };
@@ -154,6 +155,11 @@ class RaftReplica : public sim::Process {
   // as a follower.
   void on_restart() override;
   void on_message(const sim::Message& message) override;
+  // What on_message dispatches to this replica's handlers, after the clock
+  // guard has observed the message and the client gateway declined it.
+  using Inbox = sim::Inbox<msg::RequestVote, msg::VoteReply,
+                           msg::AppendEntries, msg::AppendReply,
+                           msg::ClientRmw, msg::ClientRead, msg::ReadReply>;
 
   Role role() const { return role_; }
   std::int64_t term() const { return term_; }
@@ -195,19 +201,22 @@ class RaftReplica : public sim::Process {
     LocalTime enqueued;  // leader-local arrival, for the round span
   };
 
+  // One on() overload per Inbox entry.
+  friend Inbox;
+
   // --- Roles & elections ---
   void reset_election_timer();
   void start_election();
   void become_follower(std::int64_t term);
   void become_leader();
-  void on_request_vote(ProcessId from, const msg::RequestVote& request);
-  void on_vote_reply(ProcessId from, const msg::VoteReply& reply);
+  void on(ProcessId from, const msg::RequestVote& request);
+  void on(ProcessId from, const msg::VoteReply& reply);
 
   // --- Replication ---
   void heartbeat_tick();
   void send_append(ProcessId to);
-  void on_append_entries(ProcessId from, const msg::AppendEntries& append);
-  void on_append_reply(ProcessId from, const msg::AppendReply& reply);
+  void on(ProcessId from, const msg::AppendEntries& append);
+  void on(ProcessId from, const msg::AppendReply& reply);
   void advance_commit();
   void apply_committed();
 
@@ -220,11 +229,11 @@ class RaftReplica : public sim::Process {
   void recover_from_storage();
 
   void client_send(const OperationId& id);
-  void on_client_rmw(ProcessId from, const msg::ClientRmw& rmw);
-  void on_client_read(ProcessId from, const msg::ClientRead& read);
+  void on(ProcessId from, const msg::ClientRmw& rmw);
+  void on(ProcessId from, const msg::ClientRead& read);
   void maybe_answer_reads();
   void answer_read(const PendingLeaderRead& read);
-  void on_message_read_reply(const msg::ReadReply& reply);
+  void on(ProcessId from, const msg::ReadReply& reply);
   bool lease_valid();
 
   std::int64_t last_log_index() const {

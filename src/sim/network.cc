@@ -23,10 +23,15 @@ void Network::send(Message message) {
   const RealTime now = queue_.now();
   message.sent_at = now;
   ++stats_.sent;
-  ++stats_.sent_by_type[message.type];
+  auto counter = stats_.sent_by_type.find(message.type);
+  if (counter == stats_.sent_by_type.end()) {
+    counter = stats_.sent_by_type.emplace(message.type, 0).first;
+  }
+  ++counter->second;
   if (trace_ != nullptr && trace_->network_enabled()) {
     trace_->record(now, message.from, "net.send",
-                   message.type + " -> p" + std::to_string(message.to.index()));
+                   std::string(message.type) + " -> p" +
+                       std::to_string(message.to.index()));
   }
 
   if (down_links_.contains({message.from.index(), message.to.index()})) {

@@ -18,6 +18,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/rng.h"
@@ -54,9 +55,9 @@ struct MessageStats {
   std::int64_t sent = 0;
   std::int64_t delivered = 0;
   std::int64_t dropped = 0;
-  std::map<std::string, std::int64_t> sent_by_type;
+  std::map<std::string, std::int64_t, std::less<>> sent_by_type;
 
-  std::int64_t sent_of(const std::string& type) const {
+  std::int64_t sent_of(std::string_view type) const {
     auto it = sent_by_type.find(type);
     return it == sent_by_type.end() ? 0 : it->second;
   }

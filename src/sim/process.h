@@ -9,10 +9,14 @@
 // The paper's per-process "three parallel threads" map onto this runtime as
 // message handlers plus timers; blocking waits in the pseudocode become
 // explicit state machines in subclasses.
+//
+// Messages are wire structs (sim/message.h): send() and broadcast() take the
+// struct itself, and a subclass's on_message hands each delivery to its
+// typed handlers through an Inbox.
 #pragma once
 
-#include <any>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,9 +54,18 @@ class Process {
   RealTime now_real() const;
   LocalTime now_local() const;  // this process's clock reading
 
-  void send(ProcessId to, std::string type, std::any payload);
-  // Sends to every process except this one.
-  void broadcast(const std::string& type, const std::any& payload);
+  template <WireMessage T>
+  void send(ProcessId to, T payload) {
+    post(Message::of(id_, to, std::make_shared<const T>(std::move(payload))));
+  }
+  // Sends to every process except this one; all peers share one payload.
+  template <WireMessage T>
+  void broadcast(T payload) {
+    const auto shared = std::make_shared<const T>(std::move(payload));
+    for (int i = 0; i < n_; ++i) {
+      if (i != id_.index()) post(Message::of(id_, ProcessId(i), shared));
+    }
+  }
 
   // Schedules `fn` at real time now + delay (models step timing / periodic
   // work). The handle can cancel the timer. No-op after crash.
@@ -110,6 +123,8 @@ class Process {
   }
   void mark_crashed() { crashed_ = true; }
 
+  // Stamps an envelope from this process and hands it to the network.
+  void post(Message message);
   void start_group_sync();
 
   Simulation* sim_ = nullptr;

@@ -29,7 +29,7 @@ VrReplica::VrReplica(std::shared_ptr<const object::ObjectModel> model,
   hooks.submit_rmw = [this](const OperationId& id,
                             const object::Operation& op) {
     // ids_in_log_ dedups retries whose entry already survives in our log.
-    on_request(this->id(), msg::Request{id, op});
+    on(this->id(), msg::Request{id, op});
   };
   hooks.submit_read = [this](const object::Operation& op,
                              std::function<void(std::string)> done) {
@@ -83,12 +83,12 @@ void VrReplica::seed_op_sequence() {
 
 void VrReplica::recovery_tick() {
   if (status_ != Status::kRecovering) return;
-  broadcast(msg::kRecovery, msg::Recovery{recovery_nonce_});
+  broadcast(msg::Recovery{recovery_nonce_});
   recovery_timer_ =
       schedule_after(config_.view_change_timeout, [this] { recovery_tick(); });
 }
 
-void VrReplica::on_recovery(ProcessId from, const msg::Recovery& m) {
+void VrReplica::on(ProcessId from, const msg::Recovery& m) {
   // Only normal-status replicas may answer (sec. 4.3): a view-changing or
   // recovering replica's view count could go backwards.
   if (status_ != Status::kNormal) return;
@@ -99,11 +99,10 @@ void VrReplica::on_recovery(ProcessId from, const msg::Recovery& m) {
     response.op_number = op_number();
     response.commit_number = commit_number_;
   }
-  send(from, msg::kRecoveryResponse, response);
+  send(from, response);
 }
 
-void VrReplica::on_recovery_response(ProcessId from,
-                                     const msg::RecoveryResponse& m) {
+void VrReplica::on(ProcessId from, const msg::RecoveryResponse& m) {
   if (status_ != Status::kRecovering || m.nonce != recovery_nonce_) return;
   recovery_responses_[from.index()] = m;
   maybe_finish_recovery();
@@ -147,7 +146,7 @@ void VrReplica::maybe_finish_recovery() {
   // Ack our adopted prefix to the primary and fall back into the follower
   // rhythm (the recovered replica is never the primary of max_view: a view
   // whose primary crashed moves on before its primary can be told about it).
-  send(primary, msg::kPrepareOk, msg::PrepareOk{view_, op_number()});
+  send(primary, msg::PrepareOk{view_, op_number()});
   reset_view_timer();
 }
 
@@ -155,7 +154,7 @@ void VrReplica::maybe_finish_recovery() {
 // Normal operation
 // ===========================================================================
 
-void VrReplica::on_request(ProcessId /*from*/, const msg::Request& request) {
+void VrReplica::on(ProcessId /*from*/, const msg::Request& request) {
   if (!is_primary()) return;  // client retries toward the current primary
   if (ids_in_log_.contains(request.id)) return;  // duplicate retry
   log_.push_back(VrLogEntry{request.id, request.op});
@@ -172,10 +171,10 @@ void VrReplica::send_prepare_to(ProcessId to) {
   for (std::int64_t i = from_index + 1; i <= op_number(); ++i) {
     prepare.entries.push_back(log_.at(static_cast<std::size_t>(i - 1)));
   }
-  send(to, msg::kPrepare, prepare);
+  send(to, prepare);
 }
 
-void VrReplica::on_prepare(ProcessId from, const msg::Prepare& prepare) {
+void VrReplica::on(ProcessId from, const msg::Prepare& prepare) {
   if (prepare.view < view_) return;
   if (prepare.view > view_ || status_ != Status::kNormal) {
     // We are behind: transfer state from the sender (the newer primary).
@@ -183,7 +182,7 @@ void VrReplica::on_prepare(ProcessId from, const msg::Prepare& prepare) {
     // (e.g. we were an isolated primary still appending); drop them before
     // asking for the suffix (VR Revisited sec. 5.2).
     truncate_uncommitted_tail();
-    send(from, msg::kGetState, msg::GetState{prepare.view, op_number()});
+    send(from, msg::GetState{prepare.view, op_number()});
     return;
   }
   reset_view_timer();
@@ -192,7 +191,7 @@ void VrReplica::on_prepare(ProcessId from, const msg::Prepare& prepare) {
   const std::int64_t first =
       prepare.op_number - static_cast<std::int64_t>(prepare.entries.size()) + 1;
   if (first > op_number() + 1) {
-    send(from, msg::kGetState, msg::GetState{view_, op_number()});
+    send(from, msg::GetState{view_, op_number()});
     return;
   }
   for (std::int64_t i = first; i <= prepare.op_number; ++i) {
@@ -202,11 +201,11 @@ void VrReplica::on_prepare(ProcessId from, const msg::Prepare& prepare) {
     log_.push_back(entry);
     ids_in_log_.insert(entry.id);
   }
-  send(from, msg::kPrepareOk, msg::PrepareOk{view_, op_number()});
+  send(from, msg::PrepareOk{view_, op_number()});
   advance_commit(std::min(prepare.commit_number, op_number()));
 }
 
-void VrReplica::on_prepare_ok(ProcessId from, const msg::PrepareOk& ok) {
+void VrReplica::on(ProcessId from, const msg::PrepareOk& ok) {
   if (ok.view != view_ || !is_primary()) return;
   acked_op_[from.index()] = std::max(acked_op_[from.index()], ok.op_number);
   for (std::int64_t n = op_number(); n > commit_number_; --n) {
@@ -216,17 +215,17 @@ void VrReplica::on_prepare_ok(ProcessId from, const msg::PrepareOk& ok) {
     }
     if (replicas >= majority()) {
       advance_commit(n);
-      broadcast(msg::kCommit, msg::Commit{view_, commit_number_});
+      broadcast(msg::Commit{view_, commit_number_});
       break;
     }
   }
 }
 
-void VrReplica::on_commit(ProcessId from, const msg::Commit& commit) {
+void VrReplica::on(ProcessId from, const msg::Commit& commit) {
   if (commit.view < view_) return;
   if (commit.view > view_ || status_ != Status::kNormal) {
     truncate_uncommitted_tail();
-    send(from, msg::kGetState, msg::GetState{commit.view, op_number()});
+    send(from, msg::GetState{commit.view, op_number()});
     return;
   }
   reset_view_timer();
@@ -260,7 +259,7 @@ void VrReplica::apply_committed() {
 
 void VrReplica::heartbeat_tick() {
   if (!is_primary()) return;
-  broadcast(msg::kCommit, msg::Commit{view_, commit_number_});
+  broadcast(msg::Commit{view_, commit_number_});
   // Nudge lagging replicas with their missing suffix.
   for (int i = 0; i < cluster_size(); ++i) {
     if (i != id().index() && acked_op_[i] < op_number()) {
@@ -305,7 +304,7 @@ void VrReplica::begin_view_change(std::int64_t new_view) {
   status_ = Status::kViewChange;
   heartbeat_timer_.cancel();
   svc_votes_.insert(id().index());
-  broadcast(msg::kStartViewChange, msg::StartViewChange{view_});
+  broadcast(msg::StartViewChange{view_});
   // If this view also stalls (e.g. its static next-in-line primary is
   // partitioned away), move on to the next one -- the "succession of
   // ineffective views" the paper points out.
@@ -318,8 +317,7 @@ void VrReplica::begin_view_change(std::int64_t new_view) {
   maybe_send_do_view_change();
 }
 
-void VrReplica::on_start_view_change(ProcessId from,
-                                     const msg::StartViewChange& m) {
+void VrReplica::on(ProcessId from, const msg::StartViewChange& m) {
   if (m.view < view_) return;
   // Seeing evidence of a newer view change: join it.
   if (m.view > view_) begin_view_change(m.view);
@@ -341,13 +339,13 @@ void VrReplica::maybe_send_do_view_change() {
                               commit_number_};
   const ProcessId primary = primary_of(view_);
   if (primary == id()) {
-    on_do_view_change(id(), dvc);
+    on(id(), dvc);
   } else {
-    send(primary, msg::kDoViewChange, dvc);
+    send(primary, dvc);
   }
 }
 
-void VrReplica::on_do_view_change(ProcessId from, const msg::DoViewChange& m) {
+void VrReplica::on(ProcessId from, const msg::DoViewChange& m) {
   if (m.view < view_) return;
   if (m.view > view_) begin_view_change(m.view);
   if (primary_of(view_) != id() || status_ != Status::kViewChange) return;
@@ -379,15 +377,14 @@ void VrReplica::maybe_become_primary() {
   view_timer_.cancel();
   c_became_leader_->inc();
   CHT_DEBUG(kTag) << id() << " is primary of view " << view_;
-  broadcast(msg::kStartView,
-            msg::StartView{view_, log_, op_number(), max_commit});
+  broadcast(msg::StartView{view_, log_, op_number(), max_commit});
   advance_commit(std::max(commit_number_, max_commit));
   dvc_received_.clear();
   dvc_sent_ = false;
   heartbeat_tick();
 }
 
-void VrReplica::on_start_view(ProcessId from, const msg::StartView& m) {
+void VrReplica::on(ProcessId from, const msg::StartView& m) {
   if (m.view < view_) return;
   view_ = m.view;
   log_ = m.log;
@@ -404,7 +401,7 @@ void VrReplica::on_start_view(ProcessId from, const msg::StartView& m) {
   // apply committed entries.
   CHT_ASSERT(static_cast<std::int64_t>(log_.size()) >= applied_,
              "StartView log shorter than applied prefix");
-  send(from, msg::kPrepareOk, msg::PrepareOk{view_, op_number()});
+  send(from, msg::PrepareOk{view_, op_number()});
   advance_commit(std::min(m.commit_number, op_number()));
   reset_view_timer();
 }
@@ -413,16 +410,16 @@ void VrReplica::on_start_view(ProcessId from, const msg::StartView& m) {
 // State transfer
 // ===========================================================================
 
-void VrReplica::on_get_state(ProcessId from, const msg::GetState& m) {
+void VrReplica::on(ProcessId from, const msg::GetState& m) {
   if (status_ != Status::kNormal || m.view > view_) return;
   msg::NewState reply{view_, {}, op_number(), commit_number_};
   for (std::int64_t i = m.op_number + 1; i <= op_number(); ++i) {
     reply.suffix.push_back(log_.at(static_cast<std::size_t>(i - 1)));
   }
-  send(from, msg::kNewState, reply);
+  send(from, reply);
 }
 
-void VrReplica::on_new_state(const msg::NewState& m) {
+void VrReplica::on(ProcessId, const msg::NewState& m) {
   if (m.view < view_) return;
   if (m.view > view_ || status_ != Status::kNormal) {
     // Crossing into a newer view: our uncommitted tail may hold different
@@ -472,11 +469,11 @@ void VrReplica::client_send(const OperationId& id) {
   const msg::Request request{id, it->second.op};
   const ProcessId primary = primary_of(view_);
   if (primary == this->id()) {
-    on_request(this->id(), request);
+    on(this->id(), request);
     it = pending_ops_.find(id);
     if (it == pending_ops_.end()) return;  // n == 1 completes synchronously
   } else {
-    send(primary, msg::kRequest, request);
+    send(primary, request);
   }
   it->second.retry_timer =
       schedule_after(config_.client_retry, [this, id] { client_send(id); });
@@ -487,38 +484,13 @@ void VrReplica::client_send(const OperationId& id) {
 // ===========================================================================
 
 void VrReplica::on_message(const sim::Message& message) {
-  if (message.is(msg::kRecovery)) {
-    on_recovery(message.from, message.as<msg::Recovery>());
-    return;
-  }
-  if (message.is(msg::kRecoveryResponse)) {
-    on_recovery_response(message.from, message.as<msg::RecoveryResponse>());
-    return;
-  }
+  if (RecoveryInbox::dispatch(message, *this)) return;
   // A recovering replica takes no other protocol steps (sec. 4.3): its state
   // is unknown even to itself until the recovery quorum answers. Client
   // traffic is likewise ignored until then (the client retries elsewhere).
   if (status_ == Status::kRecovering) return;
   if (gateway_.handle(message)) return;
-  if (message.is(msg::kRequest)) {
-    on_request(message.from, message.as<msg::Request>());
-  } else if (message.is(msg::kPrepare)) {
-    on_prepare(message.from, message.as<msg::Prepare>());
-  } else if (message.is(msg::kPrepareOk)) {
-    on_prepare_ok(message.from, message.as<msg::PrepareOk>());
-  } else if (message.is(msg::kCommit)) {
-    on_commit(message.from, message.as<msg::Commit>());
-  } else if (message.is(msg::kStartViewChange)) {
-    on_start_view_change(message.from, message.as<msg::StartViewChange>());
-  } else if (message.is(msg::kDoViewChange)) {
-    on_do_view_change(message.from, message.as<msg::DoViewChange>());
-  } else if (message.is(msg::kStartView)) {
-    on_start_view(message.from, message.as<msg::StartView>());
-  } else if (message.is(msg::kGetState)) {
-    on_get_state(message.from, message.as<msg::GetState>());
-  } else if (message.is(msg::kNewState)) {
-    on_new_state(message.as<msg::NewState>());
-  } else {
+  if (!Inbox::dispatch(message, *this)) {
     CHT_UNREACHABLE("unknown message type for vr replica");
   }
 }

@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "client/gateway.h"
@@ -31,6 +32,7 @@
 #include "metrics/registry.h"
 #include "metrics/span.h"
 #include "object/object.h"
+#include "sim/message.h"
 #include "sim/process.h"
 
 namespace cht::vr {
@@ -57,24 +59,14 @@ struct VrLogEntry {
 
 namespace msg {
 
-inline constexpr const char* kRequest = "vr.request";
-inline constexpr const char* kPrepare = "vr.prepare";
-inline constexpr const char* kPrepareOk = "vr.prepareok";
-inline constexpr const char* kCommit = "vr.commit";
-inline constexpr const char* kStartViewChange = "vr.startviewchange";
-inline constexpr const char* kDoViewChange = "vr.doviewchange";
-inline constexpr const char* kStartView = "vr.startview";
-inline constexpr const char* kGetState = "vr.getstate";
-inline constexpr const char* kNewState = "vr.newstate";
-inline constexpr const char* kRecovery = "vr.recovery";
-inline constexpr const char* kRecoveryResponse = "vr.recoveryresponse";
-
 struct Request {
+  static constexpr std::string_view kType = "vr.request";
   OperationId id;
   object::Operation op;
 };
 
 struct Prepare {
+  static constexpr std::string_view kType = "vr.prepare";
   std::int64_t view = 0;
   std::int64_t op_number = 0;        // number of the LAST entry in `entries`
   std::vector<VrLogEntry> entries;  // suffix starting after follower's ack
@@ -82,20 +74,24 @@ struct Prepare {
 };
 
 struct PrepareOk {
+  static constexpr std::string_view kType = "vr.prepareok";
   std::int64_t view = 0;
   std::int64_t op_number = 0;
 };
 
 struct Commit {
+  static constexpr std::string_view kType = "vr.commit";
   std::int64_t view = 0;
   std::int64_t commit_number = 0;
 };
 
 struct StartViewChange {
+  static constexpr std::string_view kType = "vr.startviewchange";
   std::int64_t view = 0;
 };
 
 struct DoViewChange {
+  static constexpr std::string_view kType = "vr.doviewchange";
   std::int64_t view = 0;
   std::vector<VrLogEntry> log;
   std::int64_t last_normal_view = 0;
@@ -104,6 +100,7 @@ struct DoViewChange {
 };
 
 struct StartView {
+  static constexpr std::string_view kType = "vr.startview";
   std::int64_t view = 0;
   std::vector<VrLogEntry> log;
   std::int64_t op_number = 0;
@@ -111,11 +108,13 @@ struct StartView {
 };
 
 struct GetState {
+  static constexpr std::string_view kType = "vr.getstate";
   std::int64_t view = 0;
   std::int64_t op_number = 0;  // requester's last op
 };
 
 struct NewState {
+  static constexpr std::string_view kType = "vr.newstate";
   std::int64_t view = 0;
   std::vector<VrLogEntry> suffix;  // entries after the requested op_number
   std::int64_t op_number = 0;
@@ -127,10 +126,12 @@ struct NewState {
 // tying responses to this particular recovery attempt (a response to an
 // earlier, pre-crash attempt must not be mistaken for a current one).
 struct Recovery {
+  static constexpr std::string_view kType = "vr.recovery";
   std::uint64_t nonce = 0;
 };
 
 struct RecoveryResponse {
+  static constexpr std::string_view kType = "vr.recoveryresponse";
   std::uint64_t nonce = 0;
   std::int64_t view = 0;
   // Only the primary of `view` ships its log (and the fields below are only
@@ -161,6 +162,14 @@ class VrReplica : public sim::Process {
   // storage involved; the replica takes no protocol steps while recovering.
   void on_restart() override;
   void on_message(const sim::Message& message) override;
+  // What on_message dispatches to this replica's handlers: recovery traffic
+  // first, even while recovering; the rest only in a normal or view-change
+  // status, and after the client gateway declined it.
+  using RecoveryInbox = sim::Inbox<msg::Recovery, msg::RecoveryResponse>;
+  using Inbox =
+      sim::Inbox<msg::Request, msg::Prepare, msg::PrepareOk, msg::Commit,
+                 msg::StartViewChange, msg::DoViewChange, msg::StartView,
+                 msg::GetState, msg::NewState>;
 
   std::int64_t view() const { return view_; }
   Status status() const { return status_; }
@@ -196,11 +205,15 @@ class VrReplica : public sim::Process {
     return static_cast<std::int64_t>(log_.size());
   }
 
+  // One on() overload per entry of either inbox.
+  friend RecoveryInbox;
+  friend Inbox;
+
   // Normal operation.
-  void on_request(ProcessId from, const msg::Request& request);
-  void on_prepare(ProcessId from, const msg::Prepare& prepare);
-  void on_prepare_ok(ProcessId from, const msg::PrepareOk& ok);
-  void on_commit(ProcessId from, const msg::Commit& commit);
+  void on(ProcessId from, const msg::Request& request);
+  void on(ProcessId from, const msg::Prepare& prepare);
+  void on(ProcessId from, const msg::PrepareOk& ok);
+  void on(ProcessId from, const msg::Commit& commit);
   void advance_commit(std::int64_t to);
   void apply_committed();
   void heartbeat_tick();
@@ -211,22 +224,22 @@ class VrReplica : public sim::Process {
   void suspect_primary();
   void begin_view_change(std::int64_t new_view);
   void end_viewchange_span();
-  void on_start_view_change(ProcessId from, const msg::StartViewChange& m);
+  void on(ProcessId from, const msg::StartViewChange& m);
   void maybe_send_do_view_change();
-  void on_do_view_change(ProcessId from, const msg::DoViewChange& m);
+  void on(ProcessId from, const msg::DoViewChange& m);
   void maybe_become_primary();
-  void on_start_view(ProcessId from, const msg::StartView& m);
+  void on(ProcessId from, const msg::StartView& m);
 
   // State transfer.
-  void on_get_state(ProcessId from, const msg::GetState& m);
-  void on_new_state(const msg::NewState& m);
+  void on(ProcessId from, const msg::GetState& m);
+  void on(ProcessId from, const msg::NewState& m);
   void truncate_uncommitted_tail();
 
   // Crash recovery (sec. 4.3).
   void seed_op_sequence();
   void recovery_tick();
-  void on_recovery(ProcessId from, const msg::Recovery& m);
-  void on_recovery_response(ProcessId from, const msg::RecoveryResponse& m);
+  void on(ProcessId from, const msg::Recovery& m);
+  void on(ProcessId from, const msg::RecoveryResponse& m);
   void maybe_finish_recovery();
 
   // Clients. A submitting process completes its own operation when it

@@ -73,7 +73,7 @@ class ElsUnitTest : public ::testing::Test {
 
   void support(int from, std::int64_t counter, std::int64_t start_us,
                std::int64_t end_us) {
-    sink(from).send(ProcessId(0), EnhancedLeaderService::kSupportType,
+    sink(from).send(ProcessId(0),
                     SupportGrant{counter, lt(start_us), lt(end_us)});
   }
 

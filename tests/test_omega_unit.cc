@@ -53,8 +53,7 @@ class OmegaUnitTest : public ::testing::Test {
   }
   OmegaHost& host() { return sim_.process_as<OmegaHost>(ProcessId(2)); }
   void heartbeat_from(int i) {
-    sim_.process(ProcessId(i)).send(ProcessId(2),
-                                    OmegaDetector::kHeartbeatType, 0);
+    sim_.process(ProcessId(i)).send(ProcessId(2), leader::Heartbeat{});
   }
   void run(Duration d) { sim_.run_until(sim_.now() + d); }
   sim::Simulation sim_;
@@ -109,7 +108,7 @@ TEST_F(OmegaUnitTest, FallsBackToNextSmallest) {
 TEST_F(OmegaUnitTest, HostEmitsPeriodicHeartbeats) {
   run(Duration::millis(23));
   // The host broadcasts to both peers every 5 ms: >= 4 rounds by now.
-  EXPECT_GE(sim_.network().stats().sent_of(OmegaDetector::kHeartbeatType), 8);
+  EXPECT_GE(sim_.network().stats().sent_of(leader::Heartbeat::kType), 8);
 }
 
 }  // namespace

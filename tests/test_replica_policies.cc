@@ -34,13 +34,12 @@ TEST(PolicyTest, LeaderForwardReadsAreCorrectButNotLocal) {
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
   const int leader = cluster.steady_leader();
   const int follower = (leader + 1) % cluster.n();
-  const auto before = cluster.sim().network().stats().sent_of(
-      core::msg::kReadRequest);
+  const auto& stats = cluster.sim().network().stats();
+  const auto before = stats.sent_of(core::msg::ReadRequest::kType);
   cluster.submit(follower, object::RegisterObject::read());
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
   EXPECT_EQ(*cluster.history().ops().back().response, "v");
-  EXPECT_GT(cluster.sim().network().stats().sent_of(core::msg::kReadRequest),
-            before);
+  EXPECT_GT(stats.sent_of(core::msg::ReadRequest::kType), before);
   // Forwarded reads take at least a round trip.
   EXPECT_GE(cluster.history().ops().back().latency(),
             2 * Duration::micros(500));

@@ -4,20 +4,29 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace cht::sim {
 namespace {
 
+// A wire struct whose text rides in the payload.
+struct Note {
+  static constexpr std::string_view kType = "note";
+  std::string text;
+};
+
 // A process that logs everything it sees, for observing runtime semantics.
 class Probe : public Process {
  public:
   std::vector<std::string> events;
+  std::vector<const void*> payloads;
   void on_start() override { events.push_back("start"); }
   void on_message(const Message& message) override {
-    events.push_back("msg:" + message.type + ":from" +
+    events.push_back("msg:" + message.as<Note>().text + ":from" +
                      std::to_string(message.from.index()));
+    payloads.push_back(message.payload.get());
   }
   void on_crash() override { events.push_back("crash"); }
 };
@@ -44,12 +53,15 @@ TEST(SimulationTest, SendAndBroadcastDeliver) {
   Simulation sim(quick_config());
   for (int i = 0; i < 3; ++i) sim.add_process(std::make_unique<Probe>());
   sim.start();
-  sim.process(ProcessId(0)).broadcast("hello", std::string("x"));
+  sim.process(ProcessId(0)).broadcast(Note{"hello"});
   sim.run_until(RealTime::zero() + Duration::millis(10));
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(1)).events.back(), "msg:hello:from0");
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(2)).events.back(), "msg:hello:from0");
-  // Broadcast excludes self.
+  // Broadcast excludes self, and every peer reads the same payload.
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(0)).events.size(), 1u);
+  EXPECT_EQ(sim.process_as<Probe>(ProcessId(1)).payloads,
+            sim.process_as<Probe>(ProcessId(2)).payloads);
+  EXPECT_EQ(sim.network().stats().sent_of(Note::kType), 2);
 }
 
 TEST(SimulationTest, CrashedProcessesReceiveNothingAndSendNothing) {
@@ -58,8 +70,8 @@ TEST(SimulationTest, CrashedProcessesReceiveNothingAndSendNothing) {
   sim.start();
   sim.crash(ProcessId(1));
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(1)).events.back(), "crash");
-  sim.process(ProcessId(0)).send(ProcessId(1), "m", std::string());
-  sim.process(ProcessId(1)).send(ProcessId(0), "m", std::string());
+  sim.process(ProcessId(0)).send(ProcessId(1), Note{"m"});
+  sim.process(ProcessId(1)).send(ProcessId(0), Note{"m"});
   sim.run_until(RealTime::zero() + Duration::millis(10));
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(0)).events.size(), 1u);  // start only
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(1)).events.back(), "crash");
@@ -69,7 +81,7 @@ TEST(SimulationTest, MessagesInFlightAtCrashStillDeliver) {
   Simulation sim(quick_config());
   for (int i = 0; i < 2; ++i) sim.add_process(std::make_unique<Probe>());
   sim.start();
-  sim.process(ProcessId(1)).send(ProcessId(0), "last-words", std::string());
+  sim.process(ProcessId(1)).send(ProcessId(0), Note{"last-words"});
   sim.crash(ProcessId(1));
   sim.run_until(RealTime::zero() + Duration::millis(10));
   EXPECT_EQ(sim.process_as<Probe>(ProcessId(0)).events.back(),
@@ -129,7 +141,7 @@ TEST(SimulationTest, DeterministicBySeed) {
     sim.start();
     for (int round = 0; round < 20; ++round) {
       sim.process(ProcessId(round % 3))
-          .broadcast("r" + std::to_string(round), std::string());
+          .broadcast(Note{"r" + std::to_string(round)});
       sim.run_until(sim.now() + Duration::millis(1));
     }
     sim.run_until(sim.now() + Duration::millis(50));

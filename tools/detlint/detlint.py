@@ -27,11 +27,11 @@ rejects the ways a contributor could break that:
                       priority_queue). Pointer order is allocation order —
                       nondeterministic across runs.
   D5  uninit-fields   Every scalar field of message/event/config structs in
-                      the wire-format files (src/core/messages.h,
-                      src/sim/message.h, src/raft/raft.h, src/vr/vr.h,
-                      src/core/config.h, src/chaos/spec.h, src/client/wire.h)
-                      must carry a member initializer. An uninitialized field
-                      in a message struct is frame-garbage nondeterminism.
+                      the wire-format files (D5_FILES: every protocol's
+                      message header, src/sim/message.h, src/core/config.h
+                      and src/chaos/spec.h) must carry a member initializer.
+                      An uninitialized field in a message struct is
+                      frame-garbage nondeterminism.
   D6  threading       No std::thread/atomics/mutexes outside the parallel
                       seed sweeper (src/chaos/sweep.cc) and bench/. The
                       simulator itself is single-threaded by construction.
@@ -44,24 +44,20 @@ rejects the ways a contributor could break that:
                       artifact reader/writer) is the allowlisted exception.
 
 v2 adds a cross-file pass: before linting, detlint *extracts a protocol
-model* from the tree — the wire-message vocabulary per stack and the
-dispatch arms that consume it, the StableStorage keys written vs. read on
-recovery paths, timer/deadline expressions and the config symbols they
-derive from, the metric names actually registered vs. those documented in
+model* from the tree — the StableStorage keys written vs. read on recovery
+paths, timer/deadline expressions and the config symbols they derive from,
+the metric names actually registered vs. those documented in
 docs/OBSERVABILITY.md, and every suppression annotation with whether it
 still suppresses anything. The model is dumped as a versioned JSON artifact
-(`--model=PATH`, drift-checked by `--check-model=PATH`) and enforced by five
-rule families:
+(`--model=PATH`, drift-checked by `--check-model=PATH`) and enforced by four
+rule families (message dispatch needs no rule: each receiver's sim::Inbox
+fails to compile when a listed message type has no handler):
 
   D8  persistence     Every StableStorage key a protocol directory writes
                       must be read back — and read back on a recovery path
                       (a function whose name contains recover/restart).
                       A key read but never written is equally a finding:
                       the recovery path trusts state nobody produces.
-  D9  dispatch        Every wire message type declared for a stack must have
-                      a dispatch arm (`message.is(msg::kX)`); an arm for a
-                      type that is never sent, or that is not declared in
-                      the stack, is unreachable/untyped and a finding.
   D10 timer-hygiene   Deadline/timer arithmetic must derive from *named*
                       duration symbols (config fields, named constants,
                       named locals). An anonymous Duration::millis(250)
@@ -78,7 +74,7 @@ rule families:
                       finding, so justification debt ratchets down, never up.
                       D12 cannot be suppressed.
 
-Cross-file rules (D8/D9 and the D11 documented-set check) need the whole
+Cross-file rules (D8 and the D11 documented-set check) need the whole
 tree to reason about, so they run only on full scans (no explicit [files...]
 arguments).
 
@@ -105,7 +101,7 @@ import re
 import sys
 
 VERSION = 2
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # Directories scanned relative to the repo root (files... overrides).
 SCAN_ROOTS = ("src", "tools", "bench", "examples")
@@ -121,9 +117,9 @@ PROTOCOL_DIRS = (
 )
 
 # Protocol stacks the model extraction groups by: each directory is one
-# analysis unit for message dispatch (D9) and persistence completeness (D8).
-# (src/baselines holds two mechanism-only protocols; their message and key
-# namespaces are disjoint, so directory granularity stays sound.)
+# analysis unit for persistence completeness (D8). (src/baselines holds two
+# mechanism-only protocols; their key namespaces are disjoint, so directory
+# granularity stays sound.)
 STACK_DIRS = (
     "src/core", "src/raft", "src/vr", "src/client", "src/leader",
     "src/baselines",
@@ -133,7 +129,9 @@ STACK_DIRS = (
 D5_FILES = (
     "src/core/messages.h", "src/sim/message.h", "src/raft/raft.h",
     "src/vr/vr.h", "src/core/config.h", "src/chaos/spec.h",
-    "src/client/wire.h",
+    "src/client/wire.h", "src/baselines/pql_lease.h",
+    "src/baselines/megastore_chubby.h", "src/leader/omega.h",
+    "src/leader/enhanced_leader.h",
 )
 
 # The documented metric-name registry rule D11 checks emitted names against.
@@ -148,7 +146,6 @@ ALLOWLIST = {
     "D6": ("src/chaos/sweep.cc", "bench/"),
     "D7": ("src/chaos/sweep.cc",),
     "D8": (),
-    "D9": (),
     # config.h IS the place duration defaults get their names.
     "D10": ("src/core/config.h",),
     # The registry implementation manipulates names generically.
@@ -169,8 +166,6 @@ RULES = {
           "stable storage)",
     "D8": "stable-storage persistence incompleteness (key written but never "
           "recovered, or recovered but never written)",
-    "D9": "wire-message dispatch non-exhaustive (declared type without a "
-          "dispatch arm, or an unreachable/undeclared arm)",
     "D10": "anonymous duration literal in protocol code (deadlines must "
            "derive from named config symbols)",
     "D11": "metric name dynamically constructed, or emitted but absent from "
@@ -198,9 +193,6 @@ SUGGESTIONS = {
     "D8": "read the key back in the stack's recover()/on_restart() path (or "
           "delete the write if the state is genuinely volatile); a write "
           "recovery never consults is durability theater",
-    "D9": "add a dispatch arm in the stack's on_message switch for every "
-          "declared type; delete arms (and declarations) for messages the "
-          "stack no longer sends",
     "D10": "bind the literal to a named symbol first (a Config field, a "
            "constexpr Duration kFoo, or a named local) so deadline "
            "arithmetic reads as named quantities",
@@ -662,9 +654,6 @@ CONST_STR_RE = re.compile(
 CONST_STR_VALUE_RE = re.compile(
     r"(?:inline\s+|static\s+)*constexpr\s+const\s+char\s*\*\s*"
     r"(k\w+)\s*=\s*\"([^\"]*)\"")
-MESSAGE_VALUE_RE = re.compile(r"^[a-z]\w*\.[a-z]\w*$")
-DISPATCH_RE = re.compile(r"\.\s*is\s*\(\s*((?:\w+::)*k\w+)\s*\)")
-SEND_RE = re.compile(r"\b(?:send|broadcast)\s*\(")
 STORAGE_ALIAS_RE = re.compile(r"StableStorage&\s+(\w+)\s*=")
 STORAGE_OPS = ("write", "erase", "read", "append", "truncate_log",
                "keys_with_prefix", "log_size", "log")
@@ -721,9 +710,9 @@ def parse_key_arg(scan, lineno0, start_col, constants):
 
 
 def extract_model(scans, root):
-    """Builds the cross-file protocol model: per-stack message vocabulary and
-    dispatch/send sites, storage-key read/write sites, timer expressions, the
-    emitted metric-name registry, and all suppression annotations."""
+    """Builds the cross-file protocol model: per-stack storage-key read/write
+    sites and timer expressions, the emitted metric-name registry, and all
+    suppression annotations."""
     model = {
         "tool": "detlint",
         "model_version": MODEL_VERSION,
@@ -734,13 +723,12 @@ def extract_model(scans, root):
 
     def stack_entry(stack):
         return model["stacks"].setdefault(stack, {
-            "messages": {},       # const name -> info
             "storage": {"keys": {}, "log": {"writes": [], "reads": []},
                         "dynamic_reads": []},
             "timers": [],
         })
 
-    # Pass A: declarations (string constants) per stack, storage-key usage.
+    # Pass A: string constants per stack (storage keys resolve through them).
     constants_by_file = {}
     for scan in scans.values():
         consts = {}
@@ -760,8 +748,7 @@ def extract_model(scans, root):
         for name, (value, lineno1) in constants_by_file[scan.path].items():
             bucket.setdefault(name, (value, scan.path, lineno1))
 
-    # Pass B: storage calls, dispatch/send sites, timers — per stack file.
-    storage_key_consts = {}   # stack -> set of const names used as keys
+    # Pass B: storage calls and timers — per stack file.
     for scan in scans.values():
         stack = stack_of(scan.path)
         if stack is None:
@@ -817,12 +804,6 @@ def extract_model(scans, root):
                     rec["reads"].append({"site": where, "function": fn})
                     if recovery:
                         rec["recovery_reads"].append(where)
-                # Remember constants used as storage keys so the message
-                # inventory can exclude them (e.g. "els.counter").
-                arg_m = re.match(r"\s*([A-Za-z_]\w*)", craw[m.end():])
-                if arg_m and arg_m.group(1) in file_consts:
-                    storage_key_consts.setdefault(stack, set()).add(
-                        arg_m.group(1))
 
             # Timers: scheduling sites and deadline-function definitions.
             for sched in paired_calls(SCHEDULE_RE, code, craw)[:1]:
@@ -842,43 +823,7 @@ def extract_model(scans, root):
                      "expr": "", "config_symbols": [],
                      "has_literal": False})
 
-    # Pass C: message inventory + dispatch/send sites.
-    for stack, consts in sorted(constants_by_stack.items()):
-        entry = stack_entry(stack)
-        key_consts = storage_key_consts.get(stack, set())
-        messages = {}
-        for name, (value, path, lineno1) in sorted(consts.items()):
-            if name in key_consts:
-                continue
-            if not MESSAGE_VALUE_RE.match(value):
-                continue
-            messages[name] = {"type": value,
-                              "declared": site(path, lineno1),
-                              "dispatched": [], "sent": []}
-        undeclared_arms = []
-        for scan in scans.values():
-            if stack_of(scan.path) != stack:
-                continue
-            decl_lines = {info["declared"] for info in messages.values()}
-            for idx, (code, _, _craw) in enumerate(scan.lines):
-                where = site(scan.path, idx + 1)
-                for m in DISPATCH_RE.finditer(code):
-                    name = m.group(1).split("::")[-1]
-                    if name in messages:
-                        messages[name]["dispatched"].append(where)
-                    elif name in consts or name in key_consts:
-                        pass  # a storage-key or non-message constant
-                    else:
-                        undeclared_arms.append((name, scan.path, idx))
-                if SEND_RE.search(code) and where not in decl_lines:
-                    for name in messages:
-                        if re.search(r"\b" + re.escape(name) + r"\b", code):
-                            messages[name]["sent"].append(where)
-        entry["messages"] = messages
-        entry["undeclared_arms"] = [
-            {"name": n, "site": site(p, i + 1)} for n, p, i in undeclared_arms]
-
-    # Pass D: metric registrations (literal names only; dynamic ones were
+    # Pass C: metric registrations (literal names only; dynamic ones were
     # already flagged per-line) across src/.
     for scan in scans.values():
         if not scan.path.startswith("src/") or \
@@ -895,7 +840,7 @@ def extract_model(scans, root):
                         {"site": site(scan.path, idx + 1),
                          "kind": m.group(1)})
 
-    # Pass E: the documented metric-name registry.
+    # Pass D: the documented metric-name registry.
     doc_path = os.path.join(root, OBSERVABILITY_DOC)
     if os.path.isfile(doc_path):
         with open(doc_path, "r", encoding="utf-8", errors="replace") as f:
@@ -903,7 +848,7 @@ def extract_model(scans, root):
         model["metrics"]["documented"] = sorted(set(
             DOC_METRIC_RE.findall(doc)))
 
-    # Pass F: suppression inventory (liveness filled in by the caller).
+    # Pass E: suppression inventory (liveness filled in by the caller).
     for scan in sorted(scans.values(), key=lambda s: s.path):
         for lineno1, rule, valid, standalone in scan.suppress:
             model["suppressions"].append(
@@ -913,7 +858,7 @@ def extract_model(scans, root):
 
 
 def cross_file_findings(scans, model):
-    """Evaluates the model rules D8, D9 and the D11 documented-set check,
+    """Evaluates the model rule D8 and the D11 documented-set check,
     emitting findings through each file's FileScan (so allowlists and
     suppressions apply, and suppressed cross-file findings still register
     as candidates for the D12 liveness audit)."""
@@ -963,22 +908,6 @@ def cross_file_findings(scans, model):
         elif log["reads"] and not log["writes"]:
             emit_at(log["reads"][0]["site"], "D8",
                     "append log is replayed but never written in %s" % stack)
-
-        # --- D9: handler exhaustiveness ---------------------------------
-        for name, info in sorted(entry["messages"].items()):
-            if not info["dispatched"]:
-                emit_at(info["declared"], "D9",
-                        "message type %s (\"%s\") has no dispatch arm in %s"
-                        % (name, info["type"], stack))
-            elif not info["sent"]:
-                emit_at(info["dispatched"][0], "D9",
-                        "dispatch arm for %s (\"%s\") is unreachable: the "
-                        "type is never sent in %s"
-                        % (name, info["type"], stack))
-        for arm in entry.get("undeclared_arms", []):
-            emit_at(arm["site"], "D9",
-                    "dispatch arm references %s, which is not a message "
-                    "type declared in %s" % (arm["name"], stack))
 
     # --- D11: emitted ⊆ documented ------------------------------------
     documented = model["metrics"]["documented"]
@@ -1052,9 +981,9 @@ def collect_files(root, explicit):
 
 def run_scan(root, files, full_scan=True):
     """Returns (findings, model). `full_scan` enables the cross-file model
-    rules (D8/D9/D11-doc/D12); partial scans (explicit file arguments) run
-    the per-line rules only, since "never read"/"never dispatched" cannot be
-    decided from a subset of the tree."""
+    rules (D8/D11-doc/D12); partial scans (explicit file arguments) run the
+    per-line rules only, since "never read" cannot be decided from a subset
+    of the tree."""
     scans = {}
     for path in files:
         full = os.path.join(root, path)
