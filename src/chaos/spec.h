@@ -46,8 +46,8 @@ struct RunSpec {
   // harness adds n client processes and every workload operation travels
   // through one of them — over the simulated network, with timeouts,
   // exactly-once retries, Redirect-chasing and replica-side session dedup
-  // all under the nemesis. false = legacy colocated submission (ops injected
-  // directly at replica slots), kept for old corpus pins and A/B runs.
+  // all under the nemesis. false = colocated submission (ops injected
+  // directly at replica slots), kept for the older corpus pins and A/B runs.
   bool client_path = true;
 
   // Clock-health guard (core/clock_guard.h): when true (the default),
@@ -56,8 +56,7 @@ struct RunSpec {
   // on, a stale read is only tolerated inside the bounded exposure window
   // between skew injection and the arrival of detecting evidence (see
   // invariants.cc); with it off, profiles with allows_stale_reads fall back
-  // to the legacy RMW-sub-history check. Old repro artifacts carry no
-  // clock_guard key and replay with it off.
+  // to the RMW-sub-history check.
   bool clock_guard = true;
 
   // Workload shape.

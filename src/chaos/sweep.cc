@@ -242,12 +242,6 @@ std::optional<Artifact> load_artifact(const std::string& path) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
   Artifact artifact;
-  // Artifacts written before the client path existed carry no client_path
-  // key; they must replay as the legacy colocated runs they recorded. The
-  // same applies to the clock guard: pre-guard artifacts recorded runs with
-  // no guard in the replicas, so they replay with it off.
-  artifact.spec.client_path = false;
-  artifact.spec.clock_guard = false;
   bool saw_protocol = false;
   std::string line;
   while (std::getline(in, line)) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -148,6 +149,26 @@ TEST(SweepDeterminismTest, SweepMatchesSerialRunOne) {
         << "seed " << spec.seed << " differs between sweep and run_one";
     EXPECT_EQ(result.violations, solo.violations) << "seed " << spec.seed;
   }
+}
+
+TEST(SweepDeterminismTest, MissingArtifactKeysTakeRunSpecDefaults) {
+  // An artifact replays what it names; every key it leaves out — the client
+  // path and the clock guard included — takes the RunSpec default, just as
+  // a sweep of that spec would have run it.
+  const std::string path = ::testing::TempDir() + "sweep_det_sparse.txt";
+  {
+    std::ofstream out(path);
+    out << "protocol=raft\nseed=3\nfingerprint=0123456789abcdef\n";
+  }
+  const auto artifact = chaos::load_artifact(path);
+  ASSERT_TRUE(artifact.has_value());
+  const chaos::RunSpec defaults;
+  EXPECT_EQ(artifact->spec.protocol, "raft");
+  EXPECT_EQ(artifact->spec.seed, 3u);
+  EXPECT_EQ(artifact->spec.client_path, defaults.client_path);
+  EXPECT_EQ(artifact->spec.clock_guard, defaults.clock_guard);
+  EXPECT_EQ(artifact->spec.ops, defaults.ops);
+  EXPECT_EQ(artifact->fingerprint, "0123456789abcdef");
 }
 
 }  // namespace
