@@ -11,8 +11,7 @@
 //     and redirect counts quantify what the faults cost the request path.
 //
 // Runs each protocol stack under the chaos harness with the client path on,
-// capturing the merged client/gateway registries at adapter teardown (the
-// last point the processes exist inside run_one).
+// then reads the merged client/gateway registries off the cluster.
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,26 +26,10 @@
 namespace cht::bench {
 namespace {
 
-// Same teardown-capture decorator idiom as chtread_fuzz's CapturingAdapter:
-// run_one owns and destroys the adapter, so the destructor is the last
-// chance to merge the per-process registries.
 struct Cell {
   chaos::RunResult result;
   metrics::Registry merged;
   sim::MessageStats messages;
-};
-
-class ClientPathProbe final : public chaos::ForwardingAdapter {
- public:
-  ClientPathProbe(std::unique_ptr<chaos::ClusterAdapter> inner, Cell& out)
-      : ForwardingAdapter(std::move(inner)), out_(out) {}
-  ~ClientPathProbe() override {
-    inner().merge_metrics_into(out_.merged);
-    out_.messages = inner().sim().network().stats();
-  }
-
- private:
-  Cell& out_;
 };
 
 void run_cell(const std::string& protocol, const std::string& profile,
@@ -59,10 +42,10 @@ void run_cell(const std::string& protocol, const std::string& profile,
   spec.ops = ops;
   spec.client_path = true;
 
-  cell.result = chaos::run_one(
-      spec, [&cell](std::unique_ptr<chaos::ClusterAdapter> inner) {
-        return std::make_unique<ClientPathProbe>(std::move(inner), cell);
-      });
+  const auto cluster = chaos::make_adapter(spec);
+  cell.result = chaos::run(*cluster, spec);
+  cluster->merge_metrics_into(cell.merged);
+  cell.messages = cluster->sim().network().stats();
 }
 
 std::int64_t hist_percentile(const metrics::Registry& r,

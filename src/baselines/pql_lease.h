@@ -84,10 +84,7 @@ struct RevokeAck {
 class PqlProcess : public sim::Process {
  public:
   explicit PqlProcess(PqlConfig config)
-      : config_(config),
-        clock_guard_(config_.clock_guard),
-        c_clock_transitions_(&metrics_.counter("clock.suspect_transitions")),
-        c_reads_degraded_(&metrics_.counter("reads.degraded")) {}
+      : config_(config), clock_guard_(config_.clock_guard) {}
 
   void on_start() override;
   // Recovers the grantor round (synced before each Promise broadcast, so a
@@ -110,10 +107,6 @@ class PqlProcess : public sim::Process {
   std::int64_t writes_completed() const { return writes_completed_; }
 
   const core::ClockSkewGuard& clock_guard() const { return clock_guard_; }
-  // Clock guard metering (docs/OBSERVABILITY.md): suspect-state flips, and
-  // lease_active() calls that would have answered true but were degraded to
-  // false by suspicion.
-  const metrics::Registry& metrics() const { return metrics_; }
 
  private:
   struct PendingWrite {
@@ -148,9 +141,12 @@ class PqlProcess : public sim::Process {
   std::int64_t writes_completed_ = 0;
 
   core::ClockSkewGuard clock_guard_;
-  metrics::Registry metrics_;
-  metrics::Counter* c_clock_transitions_;
-  metrics::Counter* c_reads_degraded_;
+  // Clock guard metering (docs/OBSERVABILITY.md): suspect-state flips, and
+  // lease_active() calls that would have answered true but were degraded to
+  // false by suspicion.
+  metrics::Counter* c_clock_transitions_ =
+      &metrics().counter("clock.suspect_transitions");
+  metrics::Counter* c_reads_degraded_ = &metrics().counter("reads.degraded");
 };
 
 }  // namespace cht::baselines

@@ -65,15 +65,15 @@ std::string format_double(double v) {
 }  // namespace
 
 RunResult run_one(const RunSpec& spec, const AdapterHook& hook) {
-  RunResult result;
-  result.spec = spec;
-
   std::unique_ptr<ClusterAdapter> adapter = make_adapter(spec);
   if (hook) adapter = hook(std::move(adapter));
-  ClusterAdapter& cluster = *adapter;
-  // Protocol-level events only: network events would dwarf them in the
-  // artifact tail.
-  cluster.sim().trace().enable(/*include_network=*/false);
+  return run(*adapter, spec);
+}
+
+RunResult run(ClusterAdapter& cluster, const RunSpec& spec) {
+  RunResult result;
+  result.spec = spec;
+  cluster.sim().trace().enable();
 
   Nemesis nemesis(cluster,
                   nemesis_profile(spec.profile, spec.delta(), spec.epsilon()),

@@ -1,11 +1,11 @@
 // Deterministic chaos runs and the parallel seed sweeper.
 //
-// run_one() executes one fully deterministic simulation described by a
-// RunSpec: build the protocol stack behind a ClusterAdapter, arm the
-// Nemesis, drive the workload, heal, quiesce, and evaluate the invariant
-// registry. The result carries a fingerprint (a hash of the complete
-// operation history and final simulated time); equal spec => equal
-// fingerprint, which is what `chtread_fuzz --repro` verifies.
+// run() executes one fully deterministic simulation described by a RunSpec
+// on a protocol stack built behind a ClusterAdapter: arm the Nemesis, drive
+// the workload, heal, quiesce, and evaluate the invariant registry;
+// run_one() builds the stack first. The result carries a fingerprint (a
+// hash of the complete operation history and final simulated time); equal
+// spec => equal fingerprint, which is what `chtread_fuzz --repro` verifies.
 //
 // sweep_seeds() fans N specs (same base, consecutive seeds) across worker
 // threads. Each seed is an independent simulation with zero shared state, so
@@ -68,8 +68,13 @@ struct RunResult {
   bool ok() const { return violations.empty(); }
 };
 
-// Runs one deterministic simulation. `hook` optionally decorates the adapter
-// (see AdapterHook); the default runs the stack unmodified.
+// Runs one deterministic simulation on `cluster`, which must be freshly
+// built for `spec` (make_adapter). The caller keeps the cluster, so it can
+// read registries, network stats or the history after the run.
+RunResult run(ClusterAdapter& cluster, const RunSpec& spec);
+
+// make_adapter(spec), decorated by `hook` if set (see AdapterHook), then
+// run(). The default runs the stack unmodified.
 RunResult run_one(const RunSpec& spec, const AdapterHook& hook = nullptr);
 
 // --- Repro artifacts --------------------------------------------------------

@@ -16,7 +16,7 @@ OperationId Client::submit(object::Operation op, bool is_read, Callback cb,
   pending.is_read = is_read;
   pending.cb = std::move(cb);
   pending.on_dispatch = std::move(on_dispatch);
-  metrics_.add(is_read ? "client.reads" : "client.rmws");
+  metrics().add(is_read ? "client.reads" : "client.rmws");
   const OperationId out = pending.id;
   if (current_) {
     queue_.push_back(std::move(pending));
@@ -71,11 +71,11 @@ void Client::on_timeout() {
   // The hint led nowhere (crashed or deposed leader); forget it and let
   // rotation / fresh Redirects re-teach us.
   leader_hint_ = -1;
-  metrics_.add("client.retries");
+  metrics().add("client.retries");
   if (pending.is_read && !pending.leader_only &&
       pending.attempts >= config_.escalate_reads_after) {
     pending.leader_only = true;
-    metrics_.add("client.read_escalations");
+    metrics().add("client.read_escalations");
   }
   send_current();
 }
@@ -87,7 +87,7 @@ void Client::on_message(const sim::Message& message) {
 
 void Client::on(ProcessId, const msg::ClientReply& reply) {
   if (!current_ || reply.id != current_->id) {
-    metrics_.add("client.late_replies");
+    metrics().add("client.late_replies");
     return;
   }
   complete(reply.response);
@@ -95,7 +95,7 @@ void Client::on(ProcessId, const msg::ClientReply& reply) {
 
 void Client::on(ProcessId, const msg::Redirect& redirect) {
   if (!current_ || redirect.id != current_->id) return;
-  metrics_.add("client.redirects");
+  metrics().add("client.redirects");
   Pending& pending = *current_;
   if (redirect.leader_hint >= 0 && redirect.leader_hint < cluster_size() &&
       pending.redirect_hops < cluster_size()) {
@@ -111,10 +111,10 @@ void Client::complete(const std::string& response) {
   Pending done = std::move(*current_);
   current_.reset();
   const std::int64_t latency_us = (now_real() - done.begun).to_micros();
-  metrics_.histogram(done.is_read ? "client.read_latency_us"
+  metrics().histogram(done.is_read ? "client.read_latency_us"
                                   : "client.rmw_latency_us")
       .record(latency_us);
-  metrics_.histogram("client.attempts_per_op").record(done.attempts + 1);
+  metrics().histogram("client.attempts_per_op").record(done.attempts + 1);
   if (!queue_.empty()) {
     current_ = std::move(queue_.front());
     queue_.pop_front();

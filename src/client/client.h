@@ -22,7 +22,7 @@
 //     chases Redirects to the leader.
 //
 // Completion, latency, retry, redirect and escalation counts land in the
-// client's own metrics registry under "client.*".
+// client's registry (sim::Process::metrics) under "client.*".
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,6 @@
 #include "client/wire.h"
 #include "common/time.h"
 #include "common/types.h"
-#include "metrics/registry.h"
 #include "object/object.h"
 #include "sim/message.h"
 #include "sim/process.h"
@@ -86,8 +85,6 @@ class Client : public sim::Process {
   // Replies and redirects; anything else is ignored.
   using Inbox = sim::Inbox<msg::ClientReply, msg::Redirect>;
 
-  metrics::Registry& metrics() { return metrics_; }
-  const metrics::Registry& metrics() const { return metrics_; }
   std::size_t inflight_plus_queued() const {
     return (current_ ? 1 : 0) + queue_.size();
   }
@@ -122,7 +119,6 @@ class Client : public sim::Process {
   std::optional<Pending> current_;
   std::deque<Pending> queue_;
   sim::EventHandle timer_;
-  metrics::Registry metrics_;
 };
 
 }  // namespace cht::client

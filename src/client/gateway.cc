@@ -8,7 +8,7 @@ void ReplicaGateway::on(ProcessId from, const msg::ClientRequest& request) {
       redirect(from, request.id);
       return;
     }
-    if (metrics_) metrics_->add("gateway.reads");
+    host_.metrics().add("gateway.reads");
     const OperationId id = request.id;
     hooks_.submit_read(request.op, [this, from, id](std::string response) {
       reply(from, id, response);
@@ -18,10 +18,10 @@ void ReplicaGateway::on(ProcessId from, const msg::ClientRequest& request) {
 
   switch (sessions_.admit(request.id)) {
     case SessionTable::Admit::kStale:
-      if (metrics_) metrics_->add("gateway.stale_dropped");
+      host_.metrics().add("gateway.stale_dropped");
       return;
     case SessionTable::Admit::kDuplicate:
-      if (metrics_) metrics_->add("gateway.dup_replies");
+      host_.metrics().add("gateway.dup_replies");
       reply(from, request.id, *sessions_.cached(request.id));
       return;
     case SessionTable::Admit::kFresh:
@@ -31,7 +31,7 @@ void ReplicaGateway::on(ProcessId from, const msg::ClientRequest& request) {
     redirect(from, request.id);
     return;
   }
-  if (metrics_) metrics_->add("gateway.rmws");
+  host_.metrics().add("gateway.rmws");
   // Remember (or refresh) the waiter first: submit_rmw may apply and reply
   // synchronously in a single-replica cluster.
   rmw_waiters_[request.id.process.index()] = {request.id, from};
@@ -58,7 +58,7 @@ void ReplicaGateway::reply(ProcessId to, const OperationId& id,
 }
 
 void ReplicaGateway::redirect(ProcessId to, const OperationId& id) {
-  if (metrics_) metrics_->add("gateway.redirects");
+  host_.metrics().add("gateway.redirects");
   host_.send(to, msg::Redirect{id, hooks_.leader_hint()});
 }
 

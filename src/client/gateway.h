@@ -28,7 +28,6 @@
 #include "client/session.h"
 #include "client/wire.h"
 #include "common/types.h"
-#include "metrics/registry.h"
 #include "object/object.h"
 #include "sim/message.h"
 #include "sim/process.h"
@@ -58,10 +57,9 @@ class ReplicaGateway {
         submit_read;
   };
 
-  // `metrics` may be null (metrics disabled); `host` must outlive the
-  // gateway.
-  ReplicaGateway(sim::Process& host, metrics::Registry* metrics)
-      : host_(host), metrics_(metrics) {}
+  // `host` must outlive the gateway; the gateway's "gateway.*" counters
+  // land in the host's registry.
+  explicit ReplicaGateway(sim::Process& host) : host_(host) {}
 
   void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
 
@@ -78,13 +76,6 @@ class ReplicaGateway {
 
   const SessionTable& sessions() const { return sessions_; }
 
-  // Bounds the session table to the k most recently applied clients
-  // (0 = unbounded; see session.h for the eviction semantics). Must be set
-  // identically at every replica — the table is replicated state.
-  void set_session_capacity(std::size_t capacity) {
-    sessions_.set_capacity(capacity);
-  }
-
  private:
   friend Inbox;
   void on(ProcessId from, const msg::ClientRequest& request);
@@ -95,7 +86,6 @@ class ReplicaGateway {
   }
 
   sim::Process& host_;
-  metrics::Registry* metrics_;
   Hooks hooks_;
   SessionTable sessions_;
   // At most one outstanding RMW waiter per client (clients are sequential):

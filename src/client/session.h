@@ -11,18 +11,7 @@
 // in log order, from the same applied sequence — so all replicas agree on
 // it, and crash recovery rebuilds it for free when the stack replays its
 // durable log/batches through the apply path. No separate persistence, and
-// the size is bounded by the number of clients.
-//
-// Eviction: set_capacity(k) bounds the table to the k most recently
-// *applied* clients (Raft thesis §6.3's session expiry, by LRU instead of
-// wall time — there is no wall time here). Because every replica applies
-// the same records in the same order, the apply stamp — and therefore the
-// eviction decision — is identical everywhere, keeping the table
-// replicated state. The documented cost of eviction is the documented cost
-// of session expiry: a retry from an evicted client is no longer
-// recognized as a duplicate and readmits as fresh, so capacity should
-// comfortably exceed the number of concurrently active clients. Capacity 0
-// (the default) means unbounded.
+// the size is bounded by the number of clients (sessions never expire).
 #pragma once
 
 #include <cstdint>
@@ -55,51 +44,24 @@ class SessionTable {
 
   // Records an applied RMW. Called in apply order; a lower-seq record after
   // a higher one (impossible for sequential clients, but cheap to guard) is
-  // ignored — it still refreshes the client's recency.
+  // ignored.
   void record(const OperationId& id, const std::string& response) {
     Entry& entry = entries_[id.process.index()];
-    entry.last_applied = ++applied_ticks_;
     if (id.seq < entry.last_seq) return;
     entry.last_seq = id.seq;
     entry.last_response = response;
-    evict_idle();
   }
-
-  // Bounds the table to the `capacity` most recently applied clients
-  // (0 = unbounded). Shrinking below the current size evicts immediately.
-  void set_capacity(std::size_t capacity) {
-    capacity_ = capacity;
-    evict_idle();
-  }
-  std::size_t capacity() const { return capacity_; }
 
   std::size_t size() const { return entries_.size(); }
 
  private:
   struct Entry {
     std::int64_t last_seq = 0;
-    std::int64_t last_applied = 0;
     std::string last_response;
   };
 
-  void evict_idle() {
-    while (capacity_ > 0 && entries_.size() > capacity_) {
-      // The idlest client; ties (impossible — stamps are unique) would fall
-      // to the lowest client index, keeping eviction deterministic.
-      auto victim = entries_.begin();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second.last_applied < victim->second.last_applied) victim = it;
-      }
-      entries_.erase(victim);
-    }
-  }
-
   // Keyed by client process index; ordered for deterministic iteration.
   std::map<int, Entry> entries_;
-  // Monotonic apply stamp; advances identically at every replica because
-  // record() is called in the shared apply order.
-  std::int64_t applied_ticks_ = 0;
-  std::size_t capacity_ = 0;
 };
 
 }  // namespace cht::client

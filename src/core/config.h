@@ -35,10 +35,6 @@ enum class CommitGate {
   // waited out each time); there is no leaseholder-set memory, so a crashed
   // process delays *every* subsequent write until it is invalidated again.
   kAllProcesses,
-  // Plain state-machine replication (VR/Raft-style): commit on majority acks
-  // alone. Unsafe to combine with local lease reads; pair it with
-  // ReadPolicy::kLeaderForward.
-  kMajorityOnly,
 };
 
 enum class ReadPolicy {
@@ -133,8 +129,6 @@ inline const char* to_string(CommitGate gate) {
       return "leaseholders";
     case CommitGate::kAllProcesses:
       return "all_processes";
-    case CommitGate::kMajorityOnly:
-      return "majority_only";
   }
   return "?";
 }
@@ -167,8 +161,6 @@ struct ConfigOverrides {
   std::optional<Duration> commit_wait;
   std::optional<Duration> lease_period;
   std::optional<Duration> lease_renew_interval;
-  std::optional<Duration> anti_entropy_interval;
-  std::optional<Duration> rmw_retry;
   std::optional<bool> metrics_enabled;
 
   void apply(Config& config) const {
@@ -179,17 +171,12 @@ struct ConfigOverrides {
     if (lease_renew_interval) {
       config.lease_renew_interval = *lease_renew_interval;
     }
-    if (anti_entropy_interval) {
-      config.anti_entropy_interval = *anti_entropy_interval;
-    }
-    if (rmw_retry) config.rmw_retry = *rmw_retry;
     if (metrics_enabled) config.metrics_enabled = *metrics_enabled;
   }
 
   bool empty() const {
     return !read_policy && !commit_gate && !commit_wait && !lease_period &&
-           !lease_renew_interval && !anti_entropy_interval && !rmw_retry &&
-           !metrics_enabled;
+           !lease_renew_interval && !metrics_enabled;
   }
 
   // The set fields as (name, value) strings, in declaration order — the
@@ -206,10 +193,6 @@ struct ConfigOverrides {
     if (lease_renew_interval) {
       out.emplace_back("lease_renew_interval", us(*lease_renew_interval));
     }
-    if (anti_entropy_interval) {
-      out.emplace_back("anti_entropy_interval", us(*anti_entropy_interval));
-    }
-    if (rmw_retry) out.emplace_back("rmw_retry", us(*rmw_retry));
     if (metrics_enabled) {
       out.emplace_back("metrics_enabled", *metrics_enabled ? "true" : "false");
     }

@@ -5,13 +5,11 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "common/logging.h"
 #include "sim/storage.h"
 
 namespace cht::core {
 
 namespace {
-constexpr const char* kTag = "replica";
 
 // Stable-storage schema. "promised" and "est" are synced before the message
 // they back leaves the process; "batch.<j>" records ride along with the next
@@ -57,9 +55,8 @@ Replica::Replica(std::shared_ptr<const object::ObjectModel> model,
       config_(config),
       omega_(*this, config_.omega),
       els_(*this, [this] { return omega_.leader(); }, config_.els),
-      metrics_(config_.metrics_enabled),
-      gateway_(*this, &metrics_),
       clock_guard_(config_.clock_guard) {
+  metrics().set_enabled(config_.metrics_enabled);
   client::ReplicaGateway::Hooks hooks;
   // Any chtread replica accepts RMWs: rmw_send forwards them to the believed
   // leader with retries, so the client never needs to find the leader itself.
@@ -78,36 +75,6 @@ Replica::Replica(std::shared_ptr<const object::ObjectModel> model,
                 [done = std::move(done)](const object::Response& r) { done(r); });
   };
   gateway_.set_hooks(std::move(hooks));
-  // Register every metric up front: the record path then only touches
-  // pre-allocated storage, and exported artifacts list the full inventory
-  // even for phases that never ran.
-  c_rmws_submitted_ = &metrics_.counter("rmws_submitted");
-  c_rmws_completed_ = &metrics_.counter("rmws_completed");
-  c_reads_submitted_ = &metrics_.counter("reads_submitted");
-  c_reads_completed_ = &metrics_.counter("reads_completed");
-  c_reads_blocked_ = &metrics_.counter("reads_blocked");
-  c_batches_committed_ = &metrics_.counter("batches_committed_as_leader");
-  c_became_leader_ = &metrics_.counter("became_leader");
-  c_abdicated_ = &metrics_.counter("abdicated");
-  h_read_block_ = &metrics_.histogram("span.read.block_us");
-  h_lease_interval_ = &metrics_.histogram("span.lease.interval_us");
-  span_doops_prepare_ =
-      metrics::Span(&metrics_.histogram("span.doops.prepare_us"));
-  span_doops_gate_ = metrics::Span(&metrics_.histogram("span.doops.gate_us"));
-  span_doops_total_ = metrics::Span(&metrics_.histogram("span.doops.total_us"));
-  span_leader_init_ = metrics::Span(&metrics_.histogram("span.leader.init_us"));
-  span_leader_reign_ =
-      metrics::Span(&metrics_.histogram("span.leader.reign_us"));
-  c_recoveries_ = &metrics_.counter("recoveries");
-  c_recovered_batches_ = &metrics_.counter("recovery_batches_replayed");
-  span_recovery_ = metrics::Span(&metrics_.histogram("span.recovery_us"));
-  c_clock_transitions_ = &metrics_.counter("clock.suspect_transitions");
-  c_reads_degraded_ = &metrics_.counter("reads.degraded");
-}
-
-void Replica::end_span(metrics::Span& span, const char* name) {
-  const std::int64_t us = span.end(now_local().to_micros());
-  if (us >= 0 && tracing()) trace_event(name, "us=" + std::to_string(us));
 }
 
 Replica::Snapshot Replica::snapshot() {
@@ -180,9 +147,8 @@ void Replica::recover_from_storage() {
     adopt_estimate(decode_batch(fields[2]), ts, k);
   }
   apply_ready();
-  trace_event("recovery",
-              "batches=" + std::to_string(batches_.size()) +
-                  " applied=" + std::to_string(applied_upto_));
+  trace_event("recovery", "batches=", batches_.size(), " applied=",
+              applied_upto_);
 }
 
 // ===========================================================================
@@ -244,12 +210,7 @@ void Replica::complete_rmw(const OperationId& id,
     // A degraded read that rode the RMW path to commit: account it as the
     // read it is, including its full invocation-to-completion wait.
     c_reads_completed_->inc();
-    const std::int64_t blocked_us =
-        (now_real() - node.mapped().invoked).to_micros();
-    h_read_block_->record(blocked_us);
-    if (tracing()) {
-      trace_event("span.read.block", "us=" + std::to_string(blocked_us));
-    }
+    record_read_block(node.mapped().invoked);
   } else {
     c_rmws_completed_->inc();
   }
@@ -360,16 +321,18 @@ bool Replica::try_advance_read(PendingRead& read) {
   const object::Response response = model_->apply(*state_, read.op);
   c_reads_completed_->inc();
   if (read.counted_blocked) {
-    // The k-hat wait span: invocation to completion, real time. Reads that
-    // completed synchronously never blocked and are not recorded.
-    const std::int64_t blocked_us = (now_real() - read.invoked).to_micros();
-    h_read_block_->record(blocked_us);
-    if (tracing()) {
-      trace_event("span.read.block", "us=" + std::to_string(blocked_us));
-    }
+    // Reads that completed synchronously never blocked and are not
+    // recorded.
+    record_read_block(read.invoked);
   }
   if (read.callback) read.callback(response);
   return true;
+}
+
+void Replica::record_read_block(RealTime invoked) {
+  const std::int64_t us = (now_real() - invoked).to_micros();
+  h_read_block_->record(us);
+  trace_event("span.read.block", "us=", us);
 }
 
 void Replica::try_advance_reads() {
@@ -387,10 +350,8 @@ void Replica::guard_observe(const sim::Message& message) {
     return;
   }
   c_clock_transitions_->inc();
-  if (tracing()) {
-    trace_event("clock.guard",
-                clock_guard_.suspect() ? "suspect" : "requalified");
-  }
+  trace_event("clock.guard",
+              clock_guard_.suspect() ? "suspect" : "requalified");
   if (!clock_guard_.suspect()) return;
   // Trip: reads already waiting on the lease path computed (or will compute)
   // k-hat from a clock we no longer trust. Reroute every one of them through
@@ -439,10 +400,9 @@ bool Replica::is_steady_leader() {
 }
 
 void Replica::become_leader(LocalTime t) {
-  CHT_DEBUG(kTag) << id() << " becomes leader at " << t;
-  trace_event("leader.become", "t=" + std::to_string(t.to_micros()));
+  trace_event("leader.become", "t=", t.to_micros());
   c_became_leader_->inc();
-  end_span(span_recovery_, "span.recovery");  // recovered straight to leading
+  end_span(span_recovery_, "recovery");  // recovered straight to leading
   span_leader_init_.begin(t.to_micros());
   span_leader_reign_.begin(t.to_micros());
   phase_ = Phase::kCollecting;
@@ -464,10 +424,9 @@ void Replica::become_leader(LocalTime t) {
 }
 
 void Replica::abdicate() {
-  CHT_DEBUG(kTag) << id() << " abdicates (reign " << leader_time_ << ")";
   trace_event("leader.abdicate");
   c_abdicated_->inc();
-  end_span(span_leader_reign_, "span.leader.reign");
+  end_span(span_leader_reign_, "leader.reign");
   // A reign that never reached steady, or a DoOps cut short, has no
   // meaningful phase duration: disarm rather than record.
   span_leader_init_.cancel();
@@ -624,7 +583,7 @@ void Replica::maybe_reach_majority() {
   }
   doops_->majority_reached = true;
   doops_->resend_timer.cancel();
-  end_span(span_doops_prepare_, "span.doops.prepare");
+  end_span(span_doops_prepare_, "doops.prepare");
   span_doops_gate_.begin(now_local().to_micros());
   // Condition (ii) of the leaseholder gate: the worst-case ack round trip
   // after stabilization (2*delta of messages, plus fsync cost — see
@@ -669,12 +628,6 @@ void Replica::on(ProcessId from, const msg::PrepareAck& ack) {
 void Replica::check_leaseholder_gate() {
   if (!doops_.has_value() || !doops_->majority_reached ||
       doops_->waiting_expiry) {
-    return;
-  }
-  if (config_.commit_gate == CommitGate::kMajorityOnly) {
-    // Plain SMR baseline: majority suffices (no lease safety for readers).
-    doops_->gate_timer.cancel();
-    finish_doops();
     return;
   }
   // kAllProcesses (Megastore-style) requires every process to ack each
@@ -739,12 +692,9 @@ void Replica::finish_doops() {
   broadcast(msg::Commit{ops, number});
   last_commit_rebroadcast_ = now_real();
   c_batches_committed_->inc();
-  end_span(span_doops_gate_, "span.doops.gate");
-  end_span(span_doops_total_, "span.doops.total");
-  trace_event("batch.commit", "j=" + std::to_string(number) + " ops=" +
-                                  std::to_string(ops.size()));
-  CHT_DEBUG(kTag) << id() << " committed batch " << number << " ("
-                  << ops.size() << " ops)";
+  end_span(span_doops_gate_, "doops.gate");
+  end_span(span_doops_total_, "doops.total");
+  trace_event("batch.commit", "j=", number, " ops=", ops.size());
 
   if (initial) {
     enter_steady();
@@ -761,7 +711,7 @@ void Replica::finish_doops() {
 
 void Replica::enter_steady() {
   phase_ = Phase::kSteady;
-  end_span(span_leader_init_, "span.leader.init");
+  end_span(span_leader_init_, "leader.init");
   if (!chosen_.has_value()) {
     // First-ever leader: still announce read leases and liveness NoOp.
     submit_rmw(object::no_op(), Callback());
@@ -818,9 +768,8 @@ void Replica::issue_leases(LocalTime now) {
     h_lease_interval_->record((now - last_lease_issued_).to_micros());
   }
   last_lease_issued_ = now;
-  trace_event("lease.grant",
-              "k=" + std::to_string(leader_next_batch_ - 1) + " holders=" +
-                  std::to_string(leaseholders_.size()));
+  trace_event("lease.grant", "k=", leader_next_batch_ - 1, " holders=",
+              leaseholders_.size());
   broadcast(msg::LeaseGrant{leader_next_batch_ - 1, now, leaseholders_});
 }
 
@@ -923,12 +872,7 @@ void Replica::on(ProcessId, const msg::ReadReply& reply) {
   if (node.empty()) return;
   node.mapped().retry_timer.cancel();
   c_reads_completed_->inc();
-  const std::int64_t blocked_us =
-      (now_real() - node.mapped().invoked).to_micros();
-  h_read_block_->record(blocked_us);
-  if (tracing()) {
-    trace_event("span.read.block", "us=" + std::to_string(blocked_us));
-  }
+  record_read_block(node.mapped().invoked);
   if (node.mapped().callback) node.mapped().callback(reply.response);
 }
 
@@ -1006,7 +950,7 @@ void Replica::on(ProcessId from, const msg::Prepare& prepare) {
 }
 
 void Replica::on(ProcessId, const msg::Commit& commit) {
-  end_span(span_recovery_, "span.recovery");  // first post-restart live sign
+  end_span(span_recovery_, "recovery");  // first post-restart live sign
   store_batch(commit.number, commit.ops);
   pending_batch_.erase(commit.number);
   apply_ready();
@@ -1015,7 +959,7 @@ void Replica::on(ProcessId, const msg::Commit& commit) {
 }
 
 void Replica::on(ProcessId from, const msg::LeaseGrant& grant) {
-  end_span(span_recovery_, "span.recovery");  // first post-restart live sign
+  end_span(span_recovery_, "recovery");  // first post-restart live sign
   if (!grant.leaseholders.contains(id().index())) {
     // We were dropped from the leaseholder set (we missed a Prepare round);
     // ask to be reintegrated (lines 45-46 / 102-104).

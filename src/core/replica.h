@@ -123,12 +123,6 @@ class Replica : public sim::Process {
 
   bool is_steady_leader();  // cheap form for run_until() polling predicates
 
-  // Observability: protocol counters and span histograms (metric inventory
-  // in docs/OBSERVABILITY.md). Enabled iff Config::metrics_enabled; never
-  // read by protocol logic, so it cannot affect simulation behaviour.
-  metrics::Registry& metrics() { return metrics_; }
-  const metrics::Registry& metrics() const { return metrics_; }
-
   const object::ObjectState& applied_state() const { return *state_; }
   const object::ObjectModel& model() const { return *model_; }
   leader::EnhancedLeaderService& leader_service() { return els_; }
@@ -241,6 +235,8 @@ class Replica : public sim::Process {
   BatchNumber fetch_target() const;
   void try_advance_reads();
   bool try_advance_read(PendingRead& read);
+  // The k-hat wait of a blocked read: invocation to completion, real time.
+  void record_read_block(RealTime invoked);
   // Clock-health guard: feed one received message's stamp pair; on a trip,
   // reroute the lease reads already pending here through the safe path.
   void guard_observe(const sim::Message& message);
@@ -256,33 +252,45 @@ class Replica : public sim::Process {
   leader::OmegaDetector omega_;
   leader::EnhancedLeaderService els_;
 
-  // --- Observability (write-only from protocol code) ---
-  metrics::Registry metrics_;
-  metrics::Counter* c_rmws_submitted_;
-  metrics::Counter* c_rmws_completed_;
-  metrics::Counter* c_reads_submitted_;
-  metrics::Counter* c_reads_completed_;
-  metrics::Counter* c_reads_blocked_;
-  metrics::Counter* c_batches_committed_;
-  metrics::Counter* c_became_leader_;
-  metrics::Counter* c_abdicated_;
-  metrics::Histogram* h_read_block_;    // k-hat wait of blocked reads
-  metrics::Histogram* h_lease_interval_;
-  metrics::Span span_doops_prepare_;    // Prepare broadcast -> majority acks
-  metrics::Span span_doops_gate_;       // majority -> leaseholder gate clear
-  metrics::Span span_doops_total_;      // Prepare broadcast -> commit
-  metrics::Span span_leader_init_;      // become_leader -> steady
-  metrics::Span span_leader_reign_;     // become_leader -> abdicate
-  metrics::Counter* c_recoveries_;
-  metrics::Counter* c_recovered_batches_;
-  metrics::Counter* c_clock_transitions_;
-  metrics::Counter* c_reads_degraded_;
-  metrics::Span span_recovery_;         // restart -> first live-protocol sign
-  // Ends a protocol-phase span and mirrors it into sim::Trace.
-  void end_span(metrics::Span& span, const char* name);
+  // --- Observability (write-only from protocol code). Registered up front,
+  // so artifacts list the full inventory even for phases that never ran;
+  // recording is on iff Config::metrics_enabled. ---
+  metrics::Counter* c_rmws_submitted_ = &metrics().counter("rmws_submitted");
+  metrics::Counter* c_rmws_completed_ = &metrics().counter("rmws_completed");
+  metrics::Counter* c_reads_submitted_ = &metrics().counter("reads_submitted");
+  metrics::Counter* c_reads_completed_ = &metrics().counter("reads_completed");
+  metrics::Counter* c_reads_blocked_ = &metrics().counter("reads_blocked");
+  metrics::Counter* c_batches_committed_ =
+      &metrics().counter("batches_committed_as_leader");
+  metrics::Counter* c_became_leader_ = &metrics().counter("became_leader");
+  metrics::Counter* c_abdicated_ = &metrics().counter("abdicated");
+  // k-hat wait of blocked reads.
+  metrics::Histogram* h_read_block_ =
+      &metrics().histogram("span.read.block_us");
+  metrics::Histogram* h_lease_interval_ =
+      &metrics().histogram("span.lease.interval_us");
+  // Prepare broadcast -> majority acks.
+  metrics::Span span_doops_prepare_{
+      metrics().histogram("span.doops.prepare_us")};
+  // Majority -> leaseholder gate clear.
+  metrics::Span span_doops_gate_{metrics().histogram("span.doops.gate_us")};
+  // Prepare broadcast -> commit.
+  metrics::Span span_doops_total_{metrics().histogram("span.doops.total_us")};
+  // become_leader -> steady.
+  metrics::Span span_leader_init_{metrics().histogram("span.leader.init_us")};
+  // become_leader -> abdicate.
+  metrics::Span span_leader_reign_{metrics().histogram("span.leader.reign_us")};
+  metrics::Counter* c_recoveries_ = &metrics().counter("recoveries");
+  metrics::Counter* c_recovered_batches_ =
+      &metrics().counter("recovery_batches_replayed");
+  metrics::Counter* c_clock_transitions_ =
+      &metrics().counter("clock.suspect_transitions");
+  metrics::Counter* c_reads_degraded_ = &metrics().counter("reads.degraded");
+  // Restart -> first live-protocol sign.
+  metrics::Span span_recovery_{metrics().histogram("span.recovery_us")};
 
-  // --- Networked-client endpoint (declared after metrics_: ctor order) ---
-  client::ReplicaGateway gateway_;
+  // --- Networked-client endpoint ---
+  client::ReplicaGateway gateway_{*this};
 
   // --- Persistent per-process algorithm state (all three threads) ---
   std::map<BatchNumber, Batch> batches_;                    // Batch[]

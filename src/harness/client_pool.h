@@ -8,7 +8,6 @@
 
 #include "client/client.h"
 #include "harness/cluster_config.h"
-#include "metrics/registry.h"
 #include "sim/simulation.h"
 
 namespace cht::harness {
@@ -39,10 +38,6 @@ class ClientPool {
   // The client that carries operations nominally addressed at replica slot
   // i (harness submit(i, ...) keeps its signature when clients are on).
   client::Client& for_slot(int i) { return client(i % clients_); }
-
-  void merge_metrics_into(metrics::Registry& out) {
-    for (int j = 0; j < clients_; ++j) out.merge_from(client(j).metrics());
-  }
 
  private:
   sim::Simulation& sim_;

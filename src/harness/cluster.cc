@@ -149,10 +149,12 @@ std::int64_t StackCluster<Stack>::leadership_changes() {
 
 template <class Stack>
 void StackCluster<Stack>::merge_metrics_into(metrics::Registry& out) {
-  for (int i = 0; i < config_.n; ++i) {
-    out.merge_from(replica(i).metrics());
-    // Storage lives beside the replica (it survives incarnations), so its
-    // counters are merged here rather than in the replica registry.
+  // Every process, replicas and clients alike (clients never sync, so their
+  // storage adds nothing).
+  for (int i = 0; i < sim_.n(); ++i) {
+    out.merge_from(sim_.process(ProcessId(i)).metrics());
+    // Storage lives beside the process (it survives incarnations), so its
+    // counters are merged here rather than in the process registry.
     const sim::StableStorage& storage = sim_.storage(ProcessId(i));
     out.add("fsyncs", storage.fsyncs());
     out.add("sync_stall_us", storage.sync_stall_us());
@@ -164,7 +166,6 @@ void StackCluster<Stack>::merge_metrics_into(metrics::Registry& out) {
       }
     }
   }
-  clients_.merge_metrics_into(out);
 }
 
 template class StackCluster<ChtreadStack>;

@@ -105,7 +105,8 @@ class StackCluster final : public ClusterAdapter {
   }
   // The sum of every replica's `became_leader` counter.
   std::int64_t leadership_changes() override;
-  // Also merges the clients' registries and each slot's storage counters.
+  // Merges every process's registry (clients included) and each slot's
+  // storage counters.
   void merge_metrics_into(metrics::Registry& out) override;
 
  private:

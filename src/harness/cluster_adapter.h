@@ -116,7 +116,7 @@ class ClusterAdapter {
   // across the cluster — a cheap "how eventful was this run" metric.
   virtual std::int64_t leadership_changes() = 0;
 
-  // Merges every replica's metric registry (counters, protocol-phase span
+  // Merges every process's metric registry (counters, protocol-phase span
   // histograms) into `out`. Read-only aggregation; safe at any quiet point.
   virtual void merge_metrics_into(metrics::Registry& out) = 0;
 

@@ -124,7 +124,8 @@ class Histogram {
   static std::int64_t bucket_upper(int bucket) {
     if (bucket < kSubBuckets) return bucket;
     const int octave = (bucket - kSubBuckets) / kSubBuckets;
-    return bucket_lower(bucket) + (std::int64_t{1} << octave) - 1;
+    // Parenthesized so the top bucket ends at INT64_MAX without overflow.
+    return bucket_lower(bucket) + ((std::int64_t{1} << octave) - 1);
   }
 
  private:

@@ -1,10 +1,9 @@
 // Protocol-phase spans: named durations that start in one event handler and
-// end in another (a DoOps round, a leader reign, a blocked read). Because a
-// phase crosses many simulator events, the primary primitive is the manual
-// begin/end `Span`; `ScopedSpan` is the RAII form for phases confined to one
-// scope. Both feed a `Histogram`, and call sites additionally emit a
-// `trace_event("span.<name>", ...)` so spans land in `sim::Trace` next to
-// the message-level trace.
+// end in another (a DoOps round, a leader reign, a recovery). Because a
+// phase crosses many simulator events, a span is begun and ended by hand.
+// It feeds a `Histogram`; processes end spans through
+// `sim::Process::end_span`, which also traces "span.<name>" so spans land in
+// `sim::Trace` next to the protocol events.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +19,7 @@ namespace cht::metrics {
 // recording (e.g. a DoOps round abandoned on abdication).
 class Span {
  public:
-  Span() = default;
-  explicit Span(Histogram* histogram) : histogram_(histogram) {}
+  explicit Span(Histogram& histogram) : histogram_(&histogram) {}
 
   bool active() const { return active_; }
   std::int64_t begin_at() const { return begin_; }
@@ -36,37 +34,16 @@ class Span {
     active_ = false;
     std::int64_t elapsed = now - begin_;
     if (elapsed < 0) elapsed = 0;
-    if (histogram_ != nullptr) histogram_->record(elapsed);
+    histogram_->record(elapsed);
     return elapsed;
   }
 
   void cancel() { active_ = false; }
 
  private:
-  Histogram* histogram_ = nullptr;
+  Histogram* histogram_;
   std::int64_t begin_ = 0;
   bool active_ = false;
-};
-
-// RAII span for phases that do fit one scope. The clock is read through a
-// pointer so tests (and real-time callers) control it; spans nest naturally
-// by scoping.
-class ScopedSpan {
- public:
-  ScopedSpan(Histogram& histogram, const std::int64_t* clock)
-      : histogram_(histogram), clock_(clock), begin_(*clock) {}
-  ~ScopedSpan() {
-    std::int64_t elapsed = *clock_ - begin_;
-    if (elapsed < 0) elapsed = 0;
-    histogram_.record(elapsed);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Histogram& histogram_;
-  const std::int64_t* clock_;
-  std::int64_t begin_;
 };
 
 }  // namespace cht::metrics

@@ -4,13 +4,11 @@
 #include <string>
 
 #include "common/assert.h"
-#include "common/logging.h"
 #include "sim/storage.h"
 
 namespace cht::raft {
 
 namespace {
-constexpr const char* kTag = "raft";
 
 // Stable-storage schema: keyed "term"/"vote" records plus one append-log
 // record per log entry (index i+1 lives at storage log position i).
@@ -38,18 +36,7 @@ RaftReplica::RaftReplica(std::shared_ptr<const object::ObjectModel> model,
                          RaftConfig config)
     : model_(std::move(model)),
       config_(config),
-      clock_guard_(config_.clock_guard),
-      gateway_(*this, &metrics_) {
-  span_election_ = metrics::Span(&metrics_.histogram("span.election_us"));
-  h_readindex_round_ = &metrics_.histogram("span.readindex.round_us");
-  c_recoveries_ = &metrics_.counter("recoveries");
-  c_recovered_entries_ = &metrics_.counter("recovery_log_replayed");
-  span_recovery_ = metrics::Span(&metrics_.histogram("span.recovery_us"));
-  c_clock_transitions_ = &metrics_.counter("clock.suspect_transitions");
-  c_reads_degraded_ = &metrics_.counter("reads.degraded");
-  c_reads_by_lease_ = &metrics_.counter("reads.by_lease");
-  c_became_leader_ = &metrics_.counter("became_leader");
-
+      clock_guard_(config_.clock_guard) {
   client::ReplicaGateway::Hooks hooks;
   hooks.accepts_rmw = [this] { return role_ == Role::kLeader; };
   hooks.is_leader = [this] { return role_ == Role::kLeader; };
@@ -143,8 +130,7 @@ void RaftReplica::recover_from_storage() {
   // commit_index_/last_applied_ stay 0: they are volatile and re-learned
   // from the next leader's AppendEntries (entries re-apply from scratch
   // against the fresh state machine).
-  trace_event("recovery", "term=" + std::to_string(term_) +
-                              " log=" + std::to_string(log_.size()));
+  trace_event("recovery", "term=", term_, " log=", log_.size());
 }
 
 // ===========================================================================
@@ -171,7 +157,6 @@ void RaftReplica::start_election() {
   // The self-vote must be durable before anyone can learn of the candidacy:
   // the RequestVote broadcast waits for the covering sync to complete.
   persist_hard_state();
-  CHT_DEBUG(kTag) << id() << " starts election for term " << term_;
   const std::int64_t t = term_;
   request_sync([this, t] {
     if (role_ != Role::kCandidate || term_ != t) {
@@ -203,12 +188,8 @@ void RaftReplica::become_follower(std::int64_t term) {
 }
 
 void RaftReplica::become_leader() {
-  CHT_DEBUG(kTag) << id() << " wins term " << term_;
   c_became_leader_->inc();
-  const std::int64_t election_us = span_election_.end(now_local().to_micros());
-  if (election_us >= 0 && tracing()) {
-    trace_event("span.election", "us=" + std::to_string(election_us));
-  }
+  end_span(span_election_, "election");
   span_recovery_.cancel();  // recovered straight into leading
   role_ = Role::kLeader;
   leader_hint_ = id();
@@ -324,10 +305,7 @@ void RaftReplica::on(ProcessId from, const msg::AppendEntries& append) {
   leader_hint_ = from;
   last_leader_contact_ = now_local();
   // First leader contact after a restart closes the recovery span.
-  const std::int64_t recovery_us = span_recovery_.end(now_local().to_micros());
-  if (recovery_us >= 0 && tracing()) {
-    trace_event("span.recovery", "us=" + std::to_string(recovery_us));
-  }
+  end_span(span_recovery_, "recovery");
   reset_election_timer();
 
   if (append.prev_index > last_log_index() ||
@@ -584,9 +562,7 @@ void RaftReplica::maybe_answer_reads() {
 void RaftReplica::answer_read(const PendingLeaderRead& read) {
   const std::int64_t round_us = (now_local() - read.enqueued).to_micros();
   h_readindex_round_->record(round_us);
-  if (tracing()) {
-    trace_event("span.readindex.round", "us=" + std::to_string(round_us));
-  }
+  trace_event("span.readindex.round", "us=", round_us);
   const object::Response response = model_->apply(*state_, read.op);
   const msg::ReadReply reply{read.id, response};
   if (read.from == id()) {
@@ -603,10 +579,8 @@ void RaftReplica::answer_read(const PendingLeaderRead& read) {
 void RaftReplica::on_message(const sim::Message& message) {
   if (clock_guard_.observe(message.sent_local, now_local(), now_real())) {
     c_clock_transitions_->inc();
-    if (tracing()) {
-      trace_event("clock.guard",
-                  clock_guard_.suspect() ? "suspect" : "requalified");
-    }
+    trace_event("clock.guard",
+                clock_guard_.suspect() ? "suspect" : "requalified");
   }
   if (gateway_.handle(message)) return;
   if (!Inbox::dispatch(message, *this)) {

@@ -173,11 +173,6 @@ class RaftReplica : public sim::Process {
   // accounting and tests.
   const core::ClockSkewGuard& clock_guard() const { return clock_guard_; }
 
-  // Observability: span histograms for the election round and the ReadIndex
-  // confirmation round (see docs/OBSERVABILITY.md).
-  metrics::Registry& metrics() { return metrics_; }
-  const metrics::Registry& metrics() const { return metrics_; }
-
   // Replica-side endpoint for networked clients (src/client/): RMWs and
   // leader_only reads are accepted only while leading; everything else is
   // redirected at leader_hint().
@@ -289,20 +284,25 @@ class RaftReplica : public sim::Process {
 
   core::ClockSkewGuard clock_guard_;
 
-  // Observability (write-only from protocol code).
-  metrics::Registry metrics_;
-  metrics::Span span_election_;         // start_election -> term won
-  metrics::Histogram* h_readindex_round_;  // read arrival -> answered
-  metrics::Counter* c_recoveries_;
-  metrics::Counter* c_recovered_entries_;
-  metrics::Counter* c_clock_transitions_;
-  metrics::Counter* c_reads_degraded_;
-  metrics::Counter* c_reads_by_lease_;
-  metrics::Counter* c_became_leader_;
-  metrics::Span span_recovery_;        // restart -> first live-protocol sign
+  // Observability (write-only from protocol code; docs/OBSERVABILITY.md).
+  // start_election -> term won.
+  metrics::Span span_election_{metrics().histogram("span.election_us")};
+  // Read arrival -> answered.
+  metrics::Histogram* h_readindex_round_ =
+      &metrics().histogram("span.readindex.round_us");
+  metrics::Counter* c_recoveries_ = &metrics().counter("recoveries");
+  metrics::Counter* c_recovered_entries_ =
+      &metrics().counter("recovery_log_replayed");
+  metrics::Counter* c_clock_transitions_ =
+      &metrics().counter("clock.suspect_transitions");
+  metrics::Counter* c_reads_degraded_ = &metrics().counter("reads.degraded");
+  metrics::Counter* c_reads_by_lease_ = &metrics().counter("reads.by_lease");
+  metrics::Counter* c_became_leader_ = &metrics().counter("became_leader");
+  // Restart -> first live-protocol sign.
+  metrics::Span span_recovery_{metrics().histogram("span.recovery_us")};
 
-  // Networked-client endpoint (declared after metrics_: ctor order).
-  client::ReplicaGateway gateway_;
+  // Networked-client endpoint.
+  client::ReplicaGateway gateway_{*this};
 };
 
 }  // namespace cht::raft

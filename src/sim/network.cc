@@ -28,11 +28,6 @@ void Network::send(Message message) {
     counter = stats_.sent_by_type.emplace(message.type, 0).first;
   }
   ++counter->second;
-  if (trace_ != nullptr && trace_->network_enabled()) {
-    trace_->record(now, message.from, "net.send",
-                   std::string(message.type) + " -> p" +
-                       std::to_string(message.to.index()));
-  }
 
   if (down_links_.contains({message.from.index(), message.to.index()})) {
     ++stats_.dropped;
@@ -54,7 +49,9 @@ void Network::send(Message message) {
 
   RealTime arrival = now + delay;
   // In-flight messages obey the delta bound once the system stabilizes.
-  if (now < config_.gst && arrival > config_.gst + config_.delta) {
+  // (Written as arrival - delta so a permanently asynchronous run, with gst
+  // at RealTime::max(), never overflows.)
+  if (now < config_.gst && arrival - config_.delta > config_.gst) {
     arrival = config_.gst + Duration::micros(rng_.next_in(
                                 config_.delta_min.to_micros(),
                                 config_.delta.to_micros()));

@@ -25,7 +25,6 @@
 #include "common/time.h"
 #include "sim/event_queue.h"
 #include "sim/message.h"
-#include "sim/trace.h"
 
 namespace cht::sim {
 
@@ -99,7 +98,6 @@ class Network {
   void set_pre_gst_loss_probability(double p) {
     config_.pre_gst_loss_probability = p;
   }
-  void set_trace(Trace* trace) { trace_ = trace; }
 
  private:
   Duration sample_delay(RealTime now, bool& lose, bool& duplicate);
@@ -111,7 +109,6 @@ class Network {
   std::set<std::pair<int, int>> down_links_;
   std::map<std::pair<int, int>, Duration> extra_delay_;
   MessageStats stats_;
-  Trace* trace_ = nullptr;
 };
 
 }  // namespace cht::sim

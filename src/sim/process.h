@@ -13,16 +13,27 @@
 // Messages are wire structs (sim/message.h): send() and broadcast() take the
 // struct itself, and a subclass's on_message hands each delivery to its
 // typed handlers through an Inbox.
+//
+// A process records what it observes in one place: the metric registry it
+// owns (one per incarnation) and the simulation's trace, reached through
+// trace_event and end_span. Subclasses register their metric handles where
+// they declare them, e.g.
+//   metrics::Counter* c_commits_ = &metrics().counter("commits");
+//   metrics::Span span_round_{metrics().histogram("span.round_us")};
 #pragma once
 
+#include <concepts>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/time.h"
 #include "common/types.h"
+#include "metrics/registry.h"
+#include "metrics/span.h"
 #include "sim/clock.h"
 #include "sim/event_queue.h"
 #include "sim/message.h"
@@ -105,16 +116,42 @@ class Process {
   // sync latency, each call is exactly sync_storage(fn).
   void request_sync(std::function<void()> fn);
 
-  // Records a protocol-level trace event (no-op unless tracing is enabled).
-  void trace_event(std::string category, std::string detail = "") const;
-  // True when the simulation's trace is recording. Lets hot paths skip
-  // building trace_event detail strings entirely (e.g. span-end events).
-  bool tracing() const;
+  // This incarnation's metrics (inventory in docs/OBSERVABILITY.md). Never
+  // read by protocol logic, so recording cannot change simulation
+  // behaviour; a restart starts a fresh registry.
+  metrics::Registry& metrics() { return metrics_; }
+  const metrics::Registry& metrics() const { return metrics_; }
+
+  // Records a protocol-level trace event. The detail is `parts` joined
+  // as-is, strings verbatim and integers in decimal; nothing is formatted
+  // unless the simulation's trace is recording.
+  template <class... Parts>
+  void trace_event(std::string_view category, const Parts&... parts) const {
+    if (!tracing()) return;
+    std::string detail;
+    (append_part(detail, parts), ...);
+    record_trace(std::string(category), std::move(detail));
+  }
+
+  // Ends `span` on this process's clock. If the span was active, its
+  // duration lands in the span's histogram and in the trace as
+  // "span.<name>" with detail "us=<duration>".
+  void end_span(metrics::Span& span, std::string_view name);
 
  protected:
   Process() = default;
 
  private:
+  static void append_part(std::string& out, std::string_view part) {
+    out += part;
+  }
+  template <std::integral T>
+  static void append_part(std::string& out, T part) {
+    out += std::to_string(part);
+  }
+  bool tracing() const;
+  void record_trace(std::string category, std::string detail) const;
+
   friend class Simulation;
   void attach(Simulation* sim, ProcessId id, int n) {
     sim_ = sim;
@@ -131,6 +168,7 @@ class Process {
   ProcessId id_;
   int n_ = 0;
   bool crashed_ = false;
+  metrics::Registry metrics_;
   // Group-commit state (request_sync): continuations awaiting the next
   // covering sync, and whether one is currently in flight. Dies with the
   // incarnation — a restart starts with a clean window, matching a real

@@ -9,7 +9,6 @@ Simulation::Simulation(SimulationConfig config)
       rng_(config.seed),
       network_(queue_, rng_.split(), config.network) {
   network_.set_deliver_fn([this](const Message& m) { deliver(m); });
-  network_.set_trace(&trace_);
 }
 
 ProcessId Simulation::add_process(std::unique_ptr<Process> process) {
@@ -198,15 +197,22 @@ void Process::start_group_sync() {
   });
 }
 
-void Process::trace_event(std::string category, std::string detail) const {
+bool Process::tracing() const {
   CHT_ASSERT(sim_ != nullptr, "process not attached");
+  return sim_->trace().enabled();
+}
+
+void Process::record_trace(std::string category, std::string detail) const {
   sim_->trace().record(sim_->now(), id_, std::move(category),
                        std::move(detail));
 }
 
-bool Process::tracing() const {
-  CHT_ASSERT(sim_ != nullptr, "process not attached");
-  return sim_->trace().enabled();
+void Process::end_span(metrics::Span& span, std::string_view name) {
+  const std::int64_t us = span.end(now_local().to_micros());
+  if (us < 0 || !tracing()) return;
+  std::string category = "span.";
+  category += name;
+  record_trace(std::move(category), "us=" + std::to_string(us));
 }
 
 EventHandle Process::schedule_after(Duration delay, std::function<void()> fn) {

@@ -1,10 +1,10 @@
 // Structured event tracing.
 //
-// When enabled, the simulation records network sends/deliveries, crashes,
-// and any protocol-level events processes choose to report (leadership
-// changes, commits, lease grants, ...). Disabled (the default) it costs one
-// branch per event. Used for debugging failing seeds and by chtread_sim
-// --trace.
+// When enabled, the simulation records crashes, restarts and the
+// protocol-level events processes report through Process::trace_event
+// (leadership changes, commits, lease grants, span ends, ...). Disabled (the
+// default) it costs one branch per event. Used for debugging failing seeds,
+// for the trace tail of chaos repro artifacts and by chtread_sim --trace.
 #pragma once
 
 #include <ostream>
@@ -19,22 +19,15 @@ namespace cht::sim {
 struct TraceEvent {
   RealTime at;
   ProcessId process;     // invalid for simulation-global events
-  std::string category;  // e.g. "net.send", "net.deliver", "crash", "leader"
+  std::string category;  // e.g. "crash", "leader.become", "span.recovery"
   std::string detail;
 };
 
 class Trace {
  public:
-  // `include_network` controls whether per-message net.send events are
-  // recorded too; protocol-level events are usually what you want, and
-  // network events outnumber them by orders of magnitude.
-  void enable(bool include_network = true) {
-    enabled_ = true;
-    network_enabled_ = include_network;
-  }
+  void enable() { enabled_ = true; }
   void disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
-  bool network_enabled() const { return enabled_ && network_enabled_; }
 
   void record(RealTime at, ProcessId process, std::string category,
               std::string detail) {
@@ -47,13 +40,12 @@ class Trace {
   void clear() { events_.clear(); }
 
   // Prints the last `limit` events (0 = all), optionally filtered to a
-  // category prefix (e.g. "net." or "leader").
+  // category prefix (e.g. "span." or "leader").
   void dump(std::ostream& os, std::size_t limit = 0,
             const std::string& category_prefix = "") const;
 
  private:
   bool enabled_ = false;
-  bool network_enabled_ = true;
   std::vector<TraceEvent> events_;
 };
 

@@ -3,24 +3,12 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "common/logging.h"
 
 namespace cht::vr {
 
-namespace {
-constexpr const char* kTag = "vr";
-}
-
 VrReplica::VrReplica(std::shared_ptr<const object::ObjectModel> model,
                      VrConfig config)
-    : model_(std::move(model)), config_(config), gateway_(*this, &metrics_) {
-  span_viewchange_ =
-      metrics::Span(&metrics_.histogram("span.viewchange_us"));
-  c_became_leader_ = &metrics_.counter("became_leader");
-  c_recoveries_ = &metrics_.counter("recoveries");
-  c_recovered_entries_ = &metrics_.counter("recovery_log_replayed");
-  span_recovery_ = metrics::Span(&metrics_.histogram("span.recovery_us"));
-
+    : model_(std::move(model)), config_(config) {
   client::ReplicaGateway::Hooks hooks;
   hooks.accepts_rmw = [this] { return is_primary(); };
   hooks.is_leader = [this] { return is_primary(); };
@@ -39,13 +27,6 @@ VrReplica::VrReplica(std::shared_ptr<const object::ObjectModel> model,
            [done = std::move(done)](const object::Response& r) { done(r); });
   };
   gateway_.set_hooks(std::move(hooks));
-}
-
-void VrReplica::end_viewchange_span() {
-  const std::int64_t us = span_viewchange_.end(now_local().to_micros());
-  if (us >= 0 && tracing()) {
-    trace_event("span.viewchange", "us=" + std::to_string(us));
-  }
 }
 
 void VrReplica::on_start() {
@@ -137,12 +118,8 @@ void VrReplica::maybe_finish_recovery() {
   last_normal_view_ = view_;
   recovery_timer_.cancel();
   recovery_responses_.clear();
-  const std::int64_t us = span_recovery_.end(now_local().to_micros());
-  if (us >= 0 && tracing()) {
-    trace_event("span.recovery", "us=" + std::to_string(us));
-  }
-  trace_event("recovery", "view=" + std::to_string(view_) +
-                              " log=" + std::to_string(log_.size()));
+  end_span(span_recovery_, "recovery");
+  trace_event("recovery", "view=", view_, " log=", log_.size());
   // Ack our adopted prefix to the primary and fall back into the follower
   // rhythm (the recovered replica is never the primary of max_view: a view
   // whose primary crashed moves on before its primary can be told about it).
@@ -371,12 +348,11 @@ void VrReplica::maybe_become_primary() {
   ids_in_log_.clear();
   for (const auto& entry : log_) ids_in_log_.insert(entry.id);
   status_ = Status::kNormal;
-  end_viewchange_span();
+  end_span(span_viewchange_, "viewchange");
   last_normal_view_ = view_;
   acked_op_.assign(cluster_size(), 0);
   view_timer_.cancel();
   c_became_leader_->inc();
-  CHT_DEBUG(kTag) << id() << " is primary of view " << view_;
   broadcast(msg::StartView{view_, log_, op_number(), max_commit});
   advance_commit(std::max(commit_number_, max_commit));
   dvc_received_.clear();
@@ -391,7 +367,7 @@ void VrReplica::on(ProcessId from, const msg::StartView& m) {
   ids_in_log_.clear();
   for (const auto& entry : log_) ids_in_log_.insert(entry.id);
   status_ = Status::kNormal;
-  end_viewchange_span();
+  end_span(span_viewchange_, "viewchange");
   last_normal_view_ = view_;
   svc_votes_.clear();
   dvc_received_.clear();

@@ -181,10 +181,6 @@ class VrReplica : public sim::Process {
   const std::vector<VrLogEntry>& log() const { return log_; }
   const object::ObjectState& applied_state() const { return *state_; }
 
-  // Observability: view-change duration span (see docs/OBSERVABILITY.md).
-  metrics::Registry& metrics() { return metrics_; }
-  const metrics::Registry& metrics() const { return metrics_; }
-
   // Replica-side endpoint for networked clients (src/client/): everything —
   // reads included — is accepted only at the primary of a normal view;
   // other replicas redirect at primary_of(view).
@@ -223,7 +219,6 @@ class VrReplica : public sim::Process {
   void reset_view_timer();
   void suspect_primary();
   void begin_view_change(std::int64_t new_view);
-  void end_viewchange_span();
   void on(ProcessId from, const msg::StartViewChange& m);
   void maybe_send_do_view_change();
   void on(ProcessId from, const msg::DoViewChange& m);
@@ -279,16 +274,18 @@ class VrReplica : public sim::Process {
   std::int64_t op_seq_ = 0;
   std::map<OperationId, PendingClientOp> pending_ops_;
 
-  // Observability (write-only from protocol code).
-  metrics::Registry metrics_;
-  metrics::Span span_viewchange_;  // first StartViewChange -> normal status
-  metrics::Counter* c_became_leader_;
-  metrics::Counter* c_recoveries_;
-  metrics::Counter* c_recovered_entries_;
-  metrics::Span span_recovery_;    // restart -> recovery protocol finished
+  // Observability (write-only from protocol code; docs/OBSERVABILITY.md).
+  // First StartViewChange -> normal status.
+  metrics::Span span_viewchange_{metrics().histogram("span.viewchange_us")};
+  metrics::Counter* c_became_leader_ = &metrics().counter("became_leader");
+  metrics::Counter* c_recoveries_ = &metrics().counter("recoveries");
+  metrics::Counter* c_recovered_entries_ =
+      &metrics().counter("recovery_log_replayed");
+  // Restart -> recovery protocol finished.
+  metrics::Span span_recovery_{metrics().histogram("span.recovery_us")};
 
-  // Networked-client endpoint (declared after metrics_: ctor order).
-  client::ReplicaGateway gateway_;
+  // Networked-client endpoint.
+  client::ReplicaGateway gateway_{*this};
 };
 
 }  // namespace cht::vr

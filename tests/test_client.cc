@@ -70,60 +70,6 @@ TEST(SessionTableTest, SizeBoundedByClientCount) {
   EXPECT_EQ(table.size(), 3u);
 }
 
-TEST(SessionTableTest, CapacityEvictsLeastRecentlyApplied) {
-  client::SessionTable table;
-  table.set_capacity(2);
-  table.record(cid(5, 1), "a");
-  table.record(cid(6, 1), "b");
-  table.record(cid(7, 1), "c");  // client 5 is now the idlest: evicted
-  EXPECT_EQ(table.size(), 2u);
-
-  // The documented session-expiry cost: the evicted client's retry is no
-  // longer recognized as a duplicate and readmits as fresh.
-  EXPECT_EQ(table.admit(cid(5, 1)), client::SessionTable::Admit::kFresh);
-  EXPECT_EQ(table.cached(cid(5, 1)), nullptr);
-  // Survivors keep their dedup state.
-  EXPECT_EQ(table.admit(cid(6, 1)), client::SessionTable::Admit::kDuplicate);
-  EXPECT_EQ(*table.cached(cid(7, 1)), "c");
-
-  // Applying for client 6 refreshes its recency, so the next newcomer
-  // evicts client 7 instead.
-  table.record(cid(6, 2), "b2");
-  table.record(cid(8, 1), "d");
-  EXPECT_EQ(table.admit(cid(7, 1)), client::SessionTable::Admit::kFresh);
-  EXPECT_EQ(table.admit(cid(6, 2)), client::SessionTable::Admit::kDuplicate);
-}
-
-TEST(SessionTableTest, ShrinkingCapacityEvictsImmediately) {
-  client::SessionTable table;  // default: unbounded
-  table.record(cid(1, 1), "a");
-  table.record(cid(2, 1), "b");
-  table.record(cid(3, 1), "c");
-  EXPECT_EQ(table.size(), 3u);
-
-  table.set_capacity(1);
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.admit(cid(3, 1)), client::SessionTable::Admit::kDuplicate);
-
-  table.set_capacity(0);  // back to unbounded: nothing else is evicted
-  table.record(cid(1, 2), "a2");
-  table.record(cid(2, 2), "b2");
-  EXPECT_EQ(table.size(), 3u);
-}
-
-TEST(SessionTableTest, SeqRegressionStillRefreshesRecency) {
-  client::SessionTable table;
-  table.set_capacity(2);
-  table.record(cid(1, 5), "a");
-  table.record(cid(2, 1), "b");
-  // A stale-seq record for client 1 (ignored for dedup state) still counts
-  // as recency — the client is demonstrably active in the apply stream.
-  table.record(cid(1, 3), "old");
-  table.record(cid(3, 1), "c");  // evicts client 2, not client 1
-  EXPECT_EQ(table.admit(cid(1, 5)), client::SessionTable::Admit::kDuplicate);
-  EXPECT_EQ(table.admit(cid(2, 1)), client::SessionTable::Admit::kFresh);
-}
-
 // --- chtread integration ----------------------------------------------------
 
 harness::ClusterConfig client_config(std::uint64_t seed) {

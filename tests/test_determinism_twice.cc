@@ -27,21 +27,6 @@
 namespace cht {
 namespace {
 
-// Pure observer: captures the merged per-replica metric registries at
-// adapter teardown (the last point the replicas exist inside run_one).
-// Every protocol-visible call forwards unchanged, so a captured run's
-// fingerprint is identical to an undecorated one.
-class MetricsProbe final : public chaos::ForwardingAdapter {
- public:
-  MetricsProbe(std::unique_ptr<chaos::ClusterAdapter> inner,
-               metrics::Registry& out)
-      : ForwardingAdapter(std::move(inner)), out_(out) {}
-  ~MetricsProbe() override { inner().merge_metrics_into(out_); }
-
- private:
-  metrics::Registry& out_;
-};
-
 struct CapturedRun {
   chaos::RunResult result;
   std::string metrics_json;
@@ -50,11 +35,10 @@ struct CapturedRun {
 
 CapturedRun run_captured(const chaos::RunSpec& spec) {
   CapturedRun captured;
+  const auto cluster = chaos::make_adapter(spec);
+  captured.result = chaos::run(*cluster, spec);
   metrics::Registry merged;
-  captured.result = chaos::run_one(
-      spec, [&merged](std::unique_ptr<chaos::ClusterAdapter> inner) {
-        return std::make_unique<MetricsProbe>(std::move(inner), merged);
-      });
+  cluster->merge_metrics_into(merged);
   captured.metrics_json = metrics::registry_to_json(merged).dump();
 
   // Both runs write to the SAME path: the artifact embeds its own path in

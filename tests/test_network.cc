@@ -63,14 +63,23 @@ TEST(NetworkTest, PreGstMessagesCanBeLost) {
   Fixture f;
   f.config.gst = RealTime::max();
   f.config.pre_gst_loss_probability = 0.5;
+  f.config.pre_gst_delay_min = Duration::millis(50);
   Network network = f.make();
   int delivered = 0;
-  network.set_deliver_fn([&](const Message&) { ++delivered; });
+  int too_early = 0;
+  network.set_deliver_fn([&](const Message&) {
+    ++delivered;
+    // Permanent asynchrony: every delivery takes a pre-GST delay.
+    if (f.queue.now() - RealTime::zero() < f.config.pre_gst_delay_min) {
+      ++too_early;
+    }
+  });
   for (int i = 0; i < 1000; ++i) network.send(make_msg(0, 1));
   while (f.queue.step()) {
   }
   EXPECT_GT(delivered, 300);
   EXPECT_LT(delivered, 700);
+  EXPECT_EQ(too_early, 0);
   EXPECT_EQ(network.stats().dropped, 1000 - delivered);
 }
 

@@ -22,7 +22,7 @@
 //   chtread_fuzz --repro=<artifact-file>
 //
 // --metrics-out writes the sweep summary plus, per protocol, a full
-// observability capture (merged per-replica metric registries, span
+// observability capture (merged per-process metric registries, span
 // histograms, message counts) from one representative re-run of the first
 // (profile, object) combination — schema cht.bench.v1, same as the benches.
 //
@@ -183,36 +183,6 @@ std::vector<std::string> expand(const std::string& value,
   return {value};
 }
 
-// Captures observability out of a run_one() adapter at teardown: run_one
-// owns and destroys the adapter, so the destructor is the last point where
-// the replicas (and their metric registries) still exist. Pure observer —
-// every protocol-visible call forwards unchanged, so the decorated run's
-// fingerprint is identical to an undecorated one.
-class CapturingAdapter final : public chaos::ForwardingAdapter {
- public:
-  struct Capture {
-    metrics::Registry merged;
-    sim::MessageStats messages;
-    metrics::LatencyRecorder reads;
-    metrics::LatencyRecorder rmws;
-  };
-
-  CapturingAdapter(std::unique_ptr<chaos::ClusterAdapter> inner, Capture& out)
-      : ForwardingAdapter(std::move(inner)), out_(out) {}
-  ~CapturingAdapter() override {
-    inner().merge_metrics_into(out_.merged);
-    out_.messages = inner().sim().network().stats();
-    for (const auto& op : inner().history().ops()) {
-      if (!op.completed()) continue;
-      (inner().model().is_read(op.op) ? out_.reads : out_.rmws)
-          .record(op.latency());
-    }
-  }
-
- private:
-  Capture& out_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -307,13 +277,20 @@ int main(int argc, char** argv) {
       spec.profile = profiles.front();
       spec.object = objects.front();
       spec.seed = options.seed_start;
-      CapturingAdapter::Capture capture;
-      chaos::run_one(spec, [&](std::unique_ptr<chaos::ClusterAdapter> inner) {
-        return std::make_unique<CapturingAdapter>(std::move(inner), capture);
-      });
-      result.observe_registry(protocol, capture.merged, capture.messages);
-      result.latency(protocol + "-reads", capture.reads);
-      result.latency(protocol + "-rmws", capture.rmws);
+      const auto cluster = chaos::make_adapter(spec);
+      chaos::run(*cluster, spec);
+      metrics::Registry merged;
+      cluster->merge_metrics_into(merged);
+      metrics::LatencyRecorder reads;
+      metrics::LatencyRecorder rmws;
+      for (const auto& op : cluster->history().ops()) {
+        if (!op.completed()) continue;
+        (cluster->model().is_read(op.op) ? reads : rmws).record(op.latency());
+      }
+      result.observe_registry(protocol, merged,
+                              cluster->sim().network().stats());
+      result.latency(protocol + "-reads", reads);
+      result.latency(protocol + "-rmws", rmws);
     }
     const int finish_code = result.finish();
     if (exit_code == 0) exit_code = finish_code;

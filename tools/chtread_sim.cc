@@ -123,10 +123,7 @@ template <class Stack>
 int drive(harness::StackCluster<Stack>& cluster, const Options& options,
           const core::ConfigOverrides& overrides = {}) {
   cluster.await_leader(Duration::seconds(30));
-  if (options.trace > 0) {
-    // Record protocol-level events only (network tracing would dwarf them).
-    cluster.sim().trace().enable(/*include_network=*/false);
-  }
+  if (options.trace > 0) cluster.sim().trace().enable();
   Rng rng(options.seed * 31 + 1);
   const double reads = read_fraction(options.workload);
   bool crashed = false;

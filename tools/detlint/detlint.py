@@ -49,7 +49,9 @@ paths, timer/deadline expressions and the config symbols they derive from,
 the metric names actually registered vs. those documented in
 docs/OBSERVABILITY.md, and every suppression annotation with whether it
 still suppresses anything. The model is dumped as a versioned JSON artifact
-(`--model=PATH`, drift-checked by `--check-model=PATH`) and enforced by four
+(`--model=PATH`, drift-checked by `--check-model=PATH`; its sites name
+files, not lines, so an edit that only shifts lines never drifts it, while
+findings keep their file:line) and enforced by four
 rule families (message dispatch needs no rule: each receiver's sim::Inbox
 fails to compile when a listed message type has no handler):
 
@@ -101,7 +103,7 @@ import re
 import sys
 
 VERSION = 2
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 # Directories scanned relative to the repo root (files... overrides).
 SCAN_ROOTS = ("src", "tools", "bench", "examples")
@@ -948,8 +950,20 @@ def audit_suppressions(scans, model):
 
 
 def canonical_model(model):
-    """The model with volatile fields normalized for drift comparison."""
-    return json.dumps(model, indent=2, sort_keys=True) + "\n"
+    """The pinned view of the model (--model / --check-model): every site
+    loses its `:line` suffix, so only a change to the protocol surface —
+    not a line shift — drifts the committed artifact."""
+    def pinned(node, key=None):
+        if key == "site":
+            return node.rsplit(":", 1)[0]
+        if key == "recovery_reads":
+            return [where.rsplit(":", 1)[0] for where in node]
+        if isinstance(node, dict):
+            return {k: pinned(v, k) for k, v in node.items()}
+        if isinstance(node, list):
+            return [pinned(v) for v in node]
+        return node
+    return json.dumps(pinned(model), indent=2, sort_keys=True) + "\n"
 
 
 # --- Driver -------------------------------------------------------------------
