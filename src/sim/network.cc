@@ -19,15 +19,21 @@ Duration Network::sample_delay(RealTime now, bool& lose, bool& duplicate) {
                                        config_.pre_gst_delay_max.to_micros()));
 }
 
+std::int64_t& Network::sent_counter(const Message& message) {
+  for (const auto& [tag, counter] : sent_counters_) {
+    if (tag == message.tag) return *counter;
+  }
+  std::int64_t& counter =
+      stats_.sent_by_type.try_emplace(std::string(message.type)).first->second;
+  sent_counters_.emplace_back(message.tag, &counter);
+  return counter;
+}
+
 void Network::send(Message message) {
   const RealTime now = queue_.now();
   message.sent_at = now;
   ++stats_.sent;
-  auto counter = stats_.sent_by_type.find(message.type);
-  if (counter == stats_.sent_by_type.end()) {
-    counter = stats_.sent_by_type.emplace(message.type, 0).first;
-  }
-  ++counter->second;
+  ++sent_counter(message);
 
   if (down_links_.contains({message.from.index(), message.to.index()})) {
     ++stats_.dropped;
@@ -58,16 +64,17 @@ void Network::send(Message message) {
     arrival = std::max(arrival, now + config_.delta_min);
   }
 
-  const int copies = duplicate ? 2 : 1;
-  for (int i = 0; i < copies; ++i) {
-    RealTime when = arrival;
-    if (i > 0) when = when + config_.delta_min;  // duplicates arrive later
-    queue_.schedule(when, [this, message] {
-      CHT_ASSERT(deliver_ != nullptr, "network has no delivery callback");
-      ++stats_.delivered;
-      deliver_(message);
-    });
+  if (duplicate) {
+    queue_.schedule_delivery(arrival, *this, message);
+    arrival = arrival + config_.delta_min;  // the duplicate arrives later
   }
+  queue_.schedule_delivery(arrival, *this, std::move(message));
+}
+
+void Network::deliver(const Message& message) {
+  CHT_ASSERT(deliver_ != nullptr, "network has no delivery callback");
+  ++stats_.delivered;
+  deliver_(message);
 }
 
 void Network::set_link_down(ProcessId from, ProcessId to, bool down) {

@@ -11,6 +11,11 @@
 // dropping all traffic on a directed link ("partitions") and message
 // duplication before GST. Per-type delivery/send counters feed the
 // message-locality experiments (E1, E5).
+//
+// send() schedules each copy of a message as a delivery event: the queue
+// slot holds the envelope itself, and firing it hands the envelope to the
+// callback installed with set_deliver_fn. A network must therefore outlive
+// its queue's pending events.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +25,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/time.h"
@@ -68,6 +74,9 @@ class Network {
 
   Network(EventQueue& queue, Rng rng, NetworkConfig config)
       : queue_(queue), rng_(rng), config_(config) {}
+  // Pending deliveries and sent_counters_ point into the network.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   // Deliveries are handed to this callback (installed by the Simulation).
   void set_deliver_fn(DeliverFn fn) { deliver_ = std::move(fn); }
@@ -86,7 +95,6 @@ class Network {
   void add_link_delay(ProcessId from, ProcessId to, Duration extra);
 
   const MessageStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = MessageStats{}; }
 
   const NetworkConfig& config() const { return config_; }
   void set_gst(RealTime gst) { config_.gst = gst; }
@@ -100,6 +108,10 @@ class Network {
   }
 
  private:
+  friend class EventQueue;
+  // Fires a delivery event.
+  void deliver(const Message& message);
+  std::int64_t& sent_counter(const Message& message);
   Duration sample_delay(RealTime now, bool& lose, bool& duplicate);
 
   EventQueue& queue_;
@@ -109,6 +121,9 @@ class Network {
   std::set<std::pair<int, int>> down_links_;
   std::map<std::pair<int, int>, Duration> extra_delay_;
   MessageStats stats_;
+  // stats_.sent_by_type's counter for each envelope tag sent so far, so a
+  // send finds its counter by pointer comparison instead of by name.
+  std::vector<std::pair<const void*, std::int64_t*>> sent_counters_;
 };
 
 }  // namespace cht::sim

@@ -81,8 +81,8 @@ class Simulation {
 
   // Replaces a crashed process with a fresh incarnation sharing its id and
   // stable storage, then calls on_restart() on it. The old incarnation is
-  // parked (not destroyed) so its still-queued timers fire as harmless
-  // no-ops against a permanently-crashed object.
+  // parked (not destroyed): the queue still reads its crashed flag to skip
+  // its queued timers.
   void restart(ProcessId p, std::unique_ptr<Process> fresh);
 
   // True iff p is currently crashed OR crashed at any point at or after t
@@ -139,8 +139,8 @@ class Simulation {
   std::vector<std::unique_ptr<StableStorage>> storages_;
   std::vector<std::optional<RealTime>> last_crash_;
   std::vector<int> incarnations_;
-  // Replaced incarnations. Their queued timers capture raw Process*, so
-  // they must stay alive (permanently crashed) until the simulation dies.
+  // Replaced incarnations. Their queued timers name them as owners, so
+  // they stay alive (permanently crashed) until the simulation dies.
   std::vector<std::unique_ptr<Process>> graveyard_;
   Trace trace_;
   bool started_ = false;

@@ -18,8 +18,7 @@ struct Fixture {
   std::vector<std::pair<RealTime, Message>> delivered;
 
   Network make(std::uint64_t seed = 1) {
-    Network network(queue, Rng(seed), config);
-    return network;
+    return Network(queue, Rng(seed), config);
   }
 };
 
@@ -163,6 +162,7 @@ TEST(NetworkTest, DuplicatesShareThePayload) {
     EXPECT_EQ(m.type, "test.pong");
     EXPECT_EQ(m.payload.get(), sent.payload.get());
   }
+  EXPECT_EQ(f.delivered[1].first - f.delivered[0].first, f.config.delta_min);
 }
 
 TEST(NetworkTest, ExtraLinkDelayAppliesOnce) {
