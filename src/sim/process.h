@@ -83,7 +83,8 @@ class Process {
   EventHandle schedule_after(Duration delay, std::function<void()> fn);
 
   // Schedules `fn` to run once this process's clock reads at least `when`.
-  // Robust to clock adjustments: re-arms itself until the condition holds.
+  // Robust to clock adjustments: re-arms itself until the condition holds,
+  // and the returned handle cancels it across re-arms.
   EventHandle schedule_at_local(LocalTime when, std::function<void()> fn);
 
   // The simulation's deterministic random stream (for randomized timeouts).
@@ -162,6 +163,8 @@ class Process {
 
   // Stamps an envelope from this process and hands it to the network.
   void post(Message message);
+  // When this process's clock will read `when`, but no earlier than now.
+  RealTime real_time_at(LocalTime when) const;
   void start_group_sync();
 
   Simulation* sim_ = nullptr;
