@@ -36,8 +36,6 @@ class EvilAdapter final : public ForwardingAdapter {
     return inner().completed() + stale_served_;
   }
 
-  std::size_t stale_served() const { return stale_served_; }
-
  private:
   int stale_every_;
   int reads_seen_ = 0;

@@ -57,7 +57,6 @@ class HistoryRecorder {
   void set_id(Token token, OperationId id) { ops_.at(token).id = id; }
 
   const std::vector<HistoryOp>& ops() const { return ops_; }
-  std::vector<HistoryOp>& mutable_ops() { return ops_; }
 
   std::size_t completed_count() const {
     std::size_t n = 0;

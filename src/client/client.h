@@ -85,10 +85,6 @@ class Client : public sim::Process {
   // Replies and redirects; anything else is ignored.
   using Inbox = sim::Inbox<msg::ClientReply, msg::Redirect>;
 
-  std::size_t inflight_plus_queued() const {
-    return (current_ ? 1 : 0) + queue_.size();
-  }
-
  private:
   struct Pending {
     OperationId id;

@@ -1,9 +1,12 @@
 // ReplicaGateway: the replica-side endpoint of the client wire protocol.
 //
-// Each replica embeds one gateway and gives it stack-specific hooks (am I
-// the leader, where do I think the leader is, how do I submit an RMW under
-// a caller-chosen OperationId, how do I serve a read). The gateway then
-// owns everything stack-independent about client traffic:
+// Each replica embeds one gateway and is its host: the gateway calls the
+// replica directly, through the GatewayHost contract below. The stacks differ
+// in one client-facing rule, Host::kAnyReplicaServes: chtread's replicas
+// take any RMW (forwarding it to the leader themselves) and serve plain reads
+// from their lease, while Raft and VR serve only at the leader and redirect
+// everything else. The gateway owns everything stack-independent about
+// client traffic:
 //
 //   - request admission through the replicated SessionTable (fresh /
 //     duplicate-answered-from-cache / stale-dropped), which is what makes
@@ -20,7 +23,7 @@
 // waiter per client.
 #pragma once
 
-#include <functional>
+#include <concepts>
 #include <map>
 #include <string>
 #include <utility>
@@ -34,59 +37,118 @@
 
 namespace cht::client {
 
+// What a replica provides to host its gateway.
+template <class Host>
+concept GatewayHost =
+    std::derived_from<Host, sim::Process> &&
+    requires(Host& host, const OperationId& id, const object::Operation& op,
+             typename Host::Callback done) {
+      // True if every replica takes RMWs and serves plain (not leader_only)
+      // reads; false if only the leader does and the rest redirect.
+      { Host::kAnyReplicaServes } -> std::convertible_to<bool>;
+      // Is this replica the leader? Gates leader_only reads, and every
+      // request where kAnyReplicaServes is false.
+      { host.is_leader() } -> std::same_as<bool>;
+      // Best-effort leader index for Redirects; -1 = unknown.
+      { host.leader_index() } -> std::same_as<int>;
+      // Injects a client RMW under the client's session id. Must ignore ids
+      // already pending or in the log.
+      host.submit_rmw_as(id, op);
+      // Serves a read; `done` fires once with the response.
+      host.submit_read(op, std::move(done));
+    };
+
+template <class Host>
 class ReplicaGateway {
  public:
-  struct Hooks {
-    // May this replica inject an RMW into the replication path right now?
-    // (chtread: always — any replica forwards to the leader; raft/vr: only
-    // the leader/primary.)
-    std::function<bool()> accepts_rmw;
-    // Is this replica the leader/primary (gates leader_only reads)?
-    std::function<bool()> is_leader;
-    // Best-effort leader index for Redirects; -1 = unknown.
-    std::function<int()> leader_hint;
-    // Whether plain (non-leader_only) reads are served at any replica
-    // (chtread's local lease reads) or must be redirected to the leader.
-    bool local_reads = false;
-    // Stack entry points. submit_rmw must tolerate duplicate ids (ids
-    // already pending or in the log) by ignoring them.
-    std::function<void(const OperationId&, const object::Operation&)>
-        submit_rmw;
-    std::function<void(const object::Operation&,
-                       std::function<void(std::string)>)>
-        submit_read;
-  };
-
   // `host` must outlive the gateway; the gateway's "gateway.*" counters
   // land in the host's registry.
-  explicit ReplicaGateway(sim::Process& host) : host_(host) {}
-
-  void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
+  explicit ReplicaGateway(Host& host) : host_(host) {}
+  // Read callbacks in flight at the host hold the gateway's address.
+  ReplicaGateway(const ReplicaGateway&) = delete;
+  ReplicaGateway& operator=(const ReplicaGateway&) = delete;
 
   using Inbox = sim::Inbox<msg::ClientRequest>;
   // Consumes ClientRequest messages; returns false for everything else.
   bool handle(const sim::Message& message) {
+    static_assert(GatewayHost<Host>);
     return Inbox::dispatch(message, *this);
   }
 
   // Called by the stack for every applied RMW, in apply order, with the
   // response the state machine produced. Safe (and required) during
   // crash-recovery replay: that is what rebuilds the session table.
-  void on_applied(const OperationId& id, const std::string& response);
+  void on_applied(const OperationId& id, const std::string& response) {
+    if (!is_client(id)) return;
+    sessions_.record(id, response);
+    const auto it = rmw_waiters_.find(id.process.index());
+    if (it != rmw_waiters_.end() && it->second.first == id) {
+      reply(it->second.second, id, response);
+      rmw_waiters_.erase(it);
+    }
+  }
 
   const SessionTable& sessions() const { return sessions_; }
 
  private:
   friend Inbox;
-  void on(ProcessId from, const msg::ClientRequest& request);
-  void reply(ProcessId to, const OperationId& id, const std::string& response);
-  void redirect(ProcessId to, const OperationId& id);
+
+  void on(ProcessId from, const msg::ClientRequest& request) {
+    if (request.is_read) {
+      if ((request.leader_only || !Host::kAnyReplicaServes) &&
+          !host_.is_leader()) {
+        redirect(from, request.id);
+        return;
+      }
+      host_.metrics().add("gateway.reads");
+      const OperationId id = request.id;
+      host_.submit_read(request.op,
+                        [this, from, id](const object::Response& response) {
+                          reply(from, id, response);
+                        });
+      return;
+    }
+
+    switch (sessions_.admit(request.id)) {
+      case SessionTable::Admit::kStale:
+        host_.metrics().add("gateway.stale_dropped");
+        return;
+      case SessionTable::Admit::kDuplicate:
+        host_.metrics().add("gateway.dup_replies");
+        reply(from, request.id, *sessions_.cached(request.id));
+        return;
+      case SessionTable::Admit::kFresh:
+        break;
+    }
+    if (!Host::kAnyReplicaServes && !host_.is_leader()) {
+      redirect(from, request.id);
+      return;
+    }
+    host_.metrics().add("gateway.rmws");
+    // Remember (or refresh) the waiter first: submit_rmw_as may apply and
+    // reply synchronously in a single-replica cluster.
+    rmw_waiters_[request.id.process.index()] = {request.id, from};
+    // Always (re)submit on a fresh id — the stack dedups ids already pending
+    // or in its log, and a retry after this replica lost and regained
+    // leadership may genuinely need the re-injection.
+    host_.submit_rmw_as(request.id, request.op);
+  }
+
+  void reply(ProcessId to, const OperationId& id,
+             const std::string& response) {
+    host_.send(to, msg::ClientReply{id, response});
+  }
+
+  void redirect(ProcessId to, const OperationId& id) {
+    host_.metrics().add("gateway.redirects");
+    host_.send(to, msg::Redirect{id, host_.leader_index()});
+  }
+
   bool is_client(const OperationId& id) const {
     return id.process.index() >= host_.cluster_size();
   }
 
-  sim::Process& host_;
-  Hooks hooks_;
+  Host& host_;
   SessionTable sessions_;
   // At most one outstanding RMW waiter per client (clients are sequential):
   // client index -> (op id, where to send the reply).

@@ -57,30 +57,12 @@ Replica::Replica(std::shared_ptr<const object::ObjectModel> model,
       els_(*this, [this] { return omega_.leader(); }, config_.els),
       clock_guard_(config_.clock_guard) {
   metrics().set_enabled(config_.metrics_enabled);
-  client::ReplicaGateway::Hooks hooks;
-  // Any chtread replica accepts RMWs: rmw_send forwards them to the believed
-  // leader with retries, so the client never needs to find the leader itself.
-  hooks.accepts_rmw = [] { return true; };
-  hooks.is_leader = [this] { return is_steady_leader(); };
-  hooks.leader_hint = [this] { return els_.believed_leader().index(); };
-  // Plain reads are served locally (the paper's lease-read fast path).
-  hooks.local_reads = true;
-  hooks.submit_rmw = [this](const OperationId& id,
-                            const object::Operation& op) {
-    submit_rmw_as(id, op);
-  };
-  hooks.submit_read = [this](const object::Operation& op,
-                             std::function<void(std::string)> done) {
-    submit_read(op,
-                [done = std::move(done)](const object::Response& r) { done(r); });
-  };
-  gateway_.set_hooks(std::move(hooks));
 }
 
 Replica::Snapshot Replica::snapshot() {
   Snapshot s;
   s.phase = phase_;
-  s.steady_leader = is_steady_leader();
+  s.steady_leader = is_leader();
   s.applied_upto = applied_upto_;
   s.max_known_batch = max_known_batch_;
   s.estimate = estimate_;
@@ -395,7 +377,7 @@ void Replica::leader_check_tick() {
                                        [this] { leader_check_tick(); });
 }
 
-bool Replica::is_steady_leader() {
+bool Replica::is_leader() {
   return phase_ == Phase::kSteady && els_.am_leader(leader_time_, now_local());
 }
 
@@ -858,7 +840,7 @@ void Replica::on(ProcessId from, const msg::ReadRequest& request) {
   // leader stays silent too — the forwarder retries against the (possibly
   // new) believed leader rather than trusting a stale verdict here.
   if (clock_guard_.suspect()) return;
-  if (!is_steady_leader() || applied_upto_ < leader_next_batch_ - 1) return;
+  if (!is_leader() || applied_upto_ < leader_next_batch_ - 1) return;
   const object::Response response = model_->apply(*state_, request.op);
   if (from == id()) {
     on(from, msg::ReadReply{request.id, response});

@@ -69,9 +69,13 @@ class Replica : public sim::Process {
                      Callback callback = nullptr);
   void submit_read(object::Operation op, Callback callback);
 
-  // Replica-side endpoint for networked clients (src/client/). Wired with
-  // chtread-specific hooks in the constructor; exposed for tests.
-  client::ReplicaGateway& client_gateway() { return gateway_; }
+  // Replica-side endpoint for networked clients (src/client/), exposed for
+  // tests. Any replica takes an RMW (rmw_send forwards it to the believed
+  // leader with retries) and serves plain reads from its lease.
+  static constexpr bool kAnyReplicaServes = true;
+  client::ReplicaGateway<Replica>& client_gateway() { return gateway_; }
+  // Where this replica believes the leader is, for client Redirects.
+  int leader_index() { return els_.believed_leader().index(); }
 
   // --- sim::Process ---------------------------------------------------------
   void on_start() override;
@@ -99,7 +103,7 @@ class Replica : public sim::Process {
   // (applied_upto()/max_known_batch()/lease()/leaseholders()/...): callers
   // snapshot once and read fields, so cross-field checks cannot interleave
   // with protocol events. Copies the batch store — do not call inside
-  // run_until() polling predicates (use is_steady_leader() there).
+  // run_until() polling predicates (use is_leader() there).
   struct Snapshot {
     Phase phase = Phase::kFollower;
     bool steady_leader = false;  // steady phase and AmLeader still holds
@@ -121,11 +125,12 @@ class Replica : public sim::Process {
   // Non-const: steady_leader evaluates AmLeader against the current clock.
   Snapshot snapshot();
 
-  bool is_steady_leader();  // cheap form for run_until() polling predicates
+  // The steady leader: steady phase and AmLeader still holds. Cheap form of
+  // Snapshot::steady_leader for run_until() polling predicates.
+  bool is_leader();
 
   const object::ObjectState& applied_state() const { return *state_; }
   const object::ObjectModel& model() const { return *model_; }
-  leader::EnhancedLeaderService& leader_service() { return els_; }
   const Config& config() const { return config_; }
   // Clock-health guard state, exposed for the chaos checker's
   // exposure-window accounting and for tests.
@@ -290,7 +295,7 @@ class Replica : public sim::Process {
   metrics::Span span_recovery_{metrics().histogram("span.recovery_us")};
 
   // --- Networked-client endpoint ---
-  client::ReplicaGateway gateway_{*this};
+  client::ReplicaGateway<Replica> gateway_{*this};
 
   // --- Persistent per-process algorithm state (all three threads) ---
   std::map<BatchNumber, Batch> batches_;                    // Batch[]

@@ -79,7 +79,7 @@ static_assert(inbox_values_v<raft::RaftReplica::Inbox>);
 static_assert(inbox_values_v<vr::VrReplica::Inbox>);
 static_assert(inbox_values_v<vr::VrReplica::RecoveryInbox>);
 static_assert(inbox_values_v<client::Client::Inbox>);
-static_assert(inbox_values_v<client::ReplicaGateway::Inbox>);
+static_assert(inbox_values_v<client::ReplicaGateway<core::Replica>::Inbox>);
 static_assert(inbox_values_v<leader::OmegaDetector::Inbox>);
 static_assert(inbox_values_v<leader::EnhancedLeaderService::Inbox>);
 static_assert(inbox_values_v<baselines::PqlProcess::Inbox>);

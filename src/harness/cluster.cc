@@ -11,12 +11,14 @@ StackCluster<Stack>::StackCluster(
       options_(std::move(options)),
       protocol_(Stack::name(options_)),
       replica_config_(Stack::make_config(config_, options_)),
-      sim_(config_.to_sim_config()),
-      clients_(sim_) {
+      sim_(config_.to_sim_config()) {
   for (int i = 0; i < config_.n; ++i) {
     sim_.add_process(std::make_unique<Replica>(model_, replica_config_));
   }
-  clients_.populate(config_);
+  for (int j = 0; j < config_.clients; ++j) {
+    sim_.add_client(std::make_unique<client::Client>(
+        j % config_.n, client::ClientConfig::defaults_for(config_.delta)));
+  }
   sim_.start();
 }
 
@@ -24,8 +26,8 @@ template <class Stack>
 void StackCluster<Stack>::submit(int i, object::Operation op, Callback done) {
   ++submitted_;
   const bool is_read = model_->is_read(op);
-  if (clients_.enabled()) {
-    client::Client& via = clients_.for_slot(i);
+  if (client_path()) {
+    client::Client& via = client(i % config_.clients);
     // Invocation is recorded at dispatch (first wire send), not enqueue:
     // the client's internal queue is not observable concurrency, and the
     // reply always arrives after dispatch, so the token is set by then.
@@ -48,16 +50,20 @@ void StackCluster<Stack>::submit(int i, object::Operation op, Callback done) {
     return;
   }
   const auto token = history_.begin(ProcessId(i), op, sim_.now());
-  const OperationId id = Stack::submit(
-      replica(i), std::move(op), is_read,
-      [this, token, done = std::move(done)](const object::Response& response) {
-        history_.end(token, response, sim_.now());
-        ++completed_;
-        if (done) done(response);
-      });
-  // Durability accounting joins on writes only, so read ids (VR assigns
-  // them too) stay off the history.
-  if (!is_read) history_.set_id(token, id);
+  Callback record = [this, token, done = std::move(done)](
+                        const object::Response& response) {
+    history_.end(token, response, sim_.now());
+    ++completed_;
+    if (done) done(response);
+  };
+  // Durability accounting joins on writes only, so reads (VR gives them ids
+  // too) carry none in the history.
+  if (is_read) {
+    replica(i).submit_read(std::move(op), std::move(record));
+  } else {
+    history_.set_id(token,
+                    replica(i).submit_rmw(std::move(op), std::move(record)));
+  }
 }
 
 template <class Stack>
@@ -119,7 +125,7 @@ int StackCluster<Stack>::leader() {
   int found = -1;
   for (int i = 0; i < config_.n; ++i) {
     Replica& r = replica(i);
-    if (r.crashed() || !Stack::leads(r)) continue;
+    if (r.crashed() || !r.is_leader()) continue;
     // With epochs the newest one wins; without, there is one leader.
     if constexpr (requires(const Replica& x) { Stack::epoch(x); }) {
       if (found < 0 || Stack::epoch(r) > Stack::epoch(replica(found))) {

@@ -14,7 +14,6 @@
 
 #include "checker/history.h"
 #include "client/client.h"
-#include "harness/client_pool.h"
 #include "harness/cluster_adapter.h"
 #include "harness/cluster_config.h"
 #include "harness/stacks.h"
@@ -48,9 +47,13 @@ class StackCluster final : public ClusterAdapter {
   const Replica& replica(int i) const {
     return sim_.process_as<Replica>(ProcessId(i));
   }
-  // The networked clients (valid indices: 0 .. config().clients - 1).
-  client::Client& client(int j) { return clients_.client(j); }
-  bool client_path() const { return clients_.enabled(); }
+  // The networked clients (valid indices: 0 .. config().clients - 1),
+  // added after the replicas so they never enter quorum math. Client j's
+  // home replica is j % n, spreading the local-read fast path.
+  client::Client& client(int j) {
+    return sim_.process_as<client::Client>(ProcessId(config_.n + j));
+  }
+  bool client_path() const { return config_.clients > 0; }
 
   // Submits an operation via process i, recording it in the history; `done`
   // also receives the response, after recording. With config.clients > 0
@@ -116,7 +119,6 @@ class StackCluster final : public ClusterAdapter {
   std::string protocol_;
   typename Stack::Config replica_config_;
   sim::Simulation sim_;
-  ClientPool clients_;
   checker::HistoryRecorder history_;
   std::size_t submitted_ = 0;
   std::size_t completed_ = 0;

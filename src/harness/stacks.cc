@@ -9,18 +9,6 @@
 namespace cht::harness {
 namespace {
 
-// chtread and Raft take reads and RMWs through separate calls; only the RMW
-// call returns an id.
-template <class Replica>
-OperationId submit_read_or_rmw(Replica& r, object::Operation op, bool is_read,
-                               Callback done) {
-  if (is_read) {
-    r.submit_read(std::move(op), std::move(done));
-    return {};
-  }
-  return r.submit_rmw(std::move(op), std::move(done));
-}
-
 // Ids of the non-read operations among a log's first `upto` entries.
 template <class Entry>
 std::vector<OperationId> log_prefix_ids(const std::vector<Entry>& log,
@@ -63,11 +51,6 @@ core::Config ChtreadStack::make_config(const ClusterConfig& cluster,
   return config;
 }
 
-OperationId ChtreadStack::submit(Replica& r, object::Operation op,
-                                 bool is_read, Callback done) {
-  return submit_read_or_rmw(r, std::move(op), is_read, std::move(done));
-}
-
 std::vector<OperationId> ChtreadStack::committed_op_ids(
     Replica& r, const object::ObjectModel& model) {
   return batch_op_ids(r, model, /*applied_only=*/true);
@@ -91,7 +74,7 @@ std::vector<std::string> ChtreadStack::protocol_invariants(
   int steady = 0;
   for (int i = 0; i < cluster.n(); ++i) {
     auto& r = cluster.replica(i);
-    if (!r.crashed() && r.is_steady_leader()) ++steady;
+    if (!r.crashed() && r.is_leader()) ++steady;
   }
   if (steady > 1) {
     violations.push_back("chtread: " + std::to_string(steady) +
@@ -133,11 +116,6 @@ raft::RaftConfig RaftStack::make_config(const ClusterConfig& cluster,
       core::ClockGuardConfig::defaults_for(cluster.delta, cluster.epsilon);
   config.clock_guard.enabled = cluster.clock_guard;
   return config;
-}
-
-OperationId RaftStack::submit(Replica& r, object::Operation op, bool is_read,
-                              Callback done) {
-  return submit_read_or_rmw(r, std::move(op), is_read, std::move(done));
 }
 
 std::vector<OperationId> RaftStack::committed_op_ids(

@@ -1,11 +1,11 @@
 // Per-stack traits for harness::StackCluster (harness/cluster.h). A traits
 // type holds only what differs between the paper's algorithm, the Raft
 // baseline and Viewstamped Replication: the replica and config types and how
-// the config derives from ClusterConfig, how one operation is submitted
-// directly at a replica, who leads, which operation ids a replica has
+// the config derives from ClusterConfig, which operation ids a replica has
 // committed, and the protocol's own safety invariants. Everything else —
 // history recording, client routing, metrics, restarts — exists once, in
-// StackCluster.
+// StackCluster, which calls the replicas' common client API (submit_rmw,
+// submit_read, is_leader) directly.
 //
 // Optional members, detected by StackCluster:
 //   epoch(r)          the leadership epoch (term, view): among several live
@@ -47,10 +47,6 @@ struct ChtreadStack {
   static std::string name(const Options&) { return "chtread"; }
   static Config make_config(const ClusterConfig& cluster,
                             const Options& options);
-  // Submits one operation at `r`; returns its id (a default id for reads).
-  static OperationId submit(Replica& r, object::Operation op, bool is_read,
-                            Callback done);
-  static bool leads(Replica& r) { return r.is_steady_leader(); }
   static std::vector<OperationId> committed_op_ids(
       Replica& r, const object::ObjectModel& model);
   static std::vector<OperationId> durable_op_ids(
@@ -68,11 +64,6 @@ struct RaftStack {
     return mode == raft::ReadMode::kLeaderLease ? "raft-lease" : "raft";
   }
   static Config make_config(const ClusterConfig& cluster, Options mode);
-  static OperationId submit(Replica& r, object::Operation op, bool is_read,
-                            Callback done);
-  static bool leads(const Replica& r) {
-    return r.role() == Replica::Role::kLeader;
-  }
   static std::int64_t epoch(const Replica& r) { return r.term(); }
   static std::vector<OperationId> committed_op_ids(
       Replica& r, const object::ObjectModel& model);
@@ -89,12 +80,6 @@ struct VrStack {
   static Config make_config(const ClusterConfig& cluster, const Options&) {
     return Config::defaults_for(cluster.delta);
   }
-  // VR treats reads like RMWs: both travel through the log and get an id.
-  static OperationId submit(Replica& r, object::Operation op,
-                            bool /*is_read*/, Callback done) {
-    return r.submit(std::move(op), std::move(done));
-  }
-  static bool leads(const Replica& r) { return r.is_primary(); }
   static std::int64_t epoch(const Replica& r) { return r.view(); }
   static bool recovering(const Replica& r) {
     return r.status() == Replica::Status::kRecovering;

@@ -36,28 +36,7 @@ RaftReplica::RaftReplica(std::shared_ptr<const object::ObjectModel> model,
                          RaftConfig config)
     : model_(std::move(model)),
       config_(config),
-      clock_guard_(config_.clock_guard) {
-  client::ReplicaGateway::Hooks hooks;
-  hooks.accepts_rmw = [this] { return role_ == Role::kLeader; };
-  hooks.is_leader = [this] { return role_ == Role::kLeader; };
-  hooks.leader_hint = [this] {
-    return role_ == Role::kLeader ? id().index() : leader_hint_.index();
-  };
-  hooks.local_reads = false;  // Raft reads are never follower-local
-  hooks.submit_rmw = [this](const OperationId& id,
-                            const object::Operation& op) {
-    // ids_in_log_ dedups retries whose entry already survives in our log.
-    on(this->id(), msg::ClientRmw{id, op});
-  };
-  hooks.submit_read = [this](const object::Operation& op,
-                             std::function<void(std::string)> done) {
-    // Reuses the replica-local read path (lease or ReadIndex round under a
-    // replica-own id), which already retries across leadership changes.
-    submit_read(op,
-                [done = std::move(done)](const object::Response& r) { done(r); });
-  };
-  gateway_.set_hooks(std::move(hooks));
-}
+      clock_guard_(config_.clock_guard) {}
 
 void RaftReplica::on_start() {
   state_ = model_->make_initial_state();
@@ -427,6 +406,11 @@ OperationId RaftReplica::submit_rmw(object::Operation op, Callback callback) {
                           sim::EventHandle()});
   client_send(id);
   return id;
+}
+
+void RaftReplica::submit_rmw_as(const OperationId& id,
+                                const object::Operation& op) {
+  on(this->id(), msg::ClientRmw{id, op});
 }
 
 void RaftReplica::submit_read(object::Operation op, Callback callback) {

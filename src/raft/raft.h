@@ -145,6 +145,12 @@ class RaftReplica : public sim::Process {
   // Client API, mirroring core::Replica. submit_rmw returns the operation's
   // id for harness-side durability accounting.
   OperationId submit_rmw(object::Operation op, Callback callback);
+  // Networked-client entry point: appends an RMW under the client's session
+  // id while leading, and ignores it otherwise (the client retries).
+  // ids_in_log_ dedups retries whose entry already survives in the log.
+  void submit_rmw_as(const OperationId& id, const object::Operation& op);
+  // Reads take the replica-local path (lease or ReadIndex round under a
+  // replica-own id), which already retries across leadership changes.
   void submit_read(object::Operation op, Callback callback);
 
   void on_start() override;
@@ -162,21 +168,25 @@ class RaftReplica : public sim::Process {
                            msg::ClientRmw, msg::ClientRead, msg::ReadReply>;
 
   Role role() const { return role_; }
+  bool is_leader() const { return role_ == Role::kLeader; }
   std::int64_t term() const { return term_; }
   std::int64_t commit_index() const { return commit_index_; }
   std::int64_t last_applied() const { return last_applied_; }
   std::size_t log_size() const { return log_.size(); }
   const std::vector<LogEntry>& log() const { return log_; }
-  ProcessId leader_hint() const { return leader_hint_; }
   const object::ObjectState& applied_state() const { return *state_; }
   // Clock-health guard state, for the chaos checker's exposure-window
   // accounting and tests.
   const core::ClockSkewGuard& clock_guard() const { return clock_guard_; }
 
   // Replica-side endpoint for networked clients (src/client/): RMWs and
-  // leader_only reads are accepted only while leading; everything else is
-  // redirected at leader_hint().
-  client::ReplicaGateway& client_gateway() { return gateway_; }
+  // all reads are accepted only while leading; everything else is
+  // redirected at leader_index(). Raft reads are never follower-local.
+  static constexpr bool kAnyReplicaServes = false;
+  client::ReplicaGateway<RaftReplica>& client_gateway() { return gateway_; }
+  int leader_index() const {
+    return is_leader() ? id().index() : leader_hint_.index();
+  }
 
  private:
   struct PendingClientOp {
@@ -302,7 +312,7 @@ class RaftReplica : public sim::Process {
   metrics::Span span_recovery_{metrics().histogram("span.recovery_us")};
 
   // Networked-client endpoint.
-  client::ReplicaGateway gateway_{*this};
+  client::ReplicaGateway<RaftReplica> gateway_{*this};
 };
 
 }  // namespace cht::raft

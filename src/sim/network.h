@@ -98,13 +98,10 @@ class Network {
 
   const NetworkConfig& config() const { return config_; }
   void set_gst(RealTime gst) { config_.gst = gst; }
-  // Runtime knobs for chaos schedules: adjust pre-GST misbehaviour rates
-  // mid-run (they only bite while now < gst, e.g. after a GST shift).
+  // Runtime knob for chaos schedules: adjust the pre-GST duplication rate
+  // mid-run (it only bites while now < gst, e.g. after a GST shift).
   void set_pre_gst_duplicate_probability(double p) {
     config_.pre_gst_duplicate_probability = p;
-  }
-  void set_pre_gst_loss_probability(double p) {
-    config_.pre_gst_loss_probability = p;
   }
 
  private:

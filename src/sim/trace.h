@@ -26,7 +26,6 @@ struct TraceEvent {
 class Trace {
  public:
   void enable() { enabled_ = true; }
-  void disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
   void record(RealTime at, ProcessId process, std::string category,

@@ -8,26 +8,7 @@ namespace cht::vr {
 
 VrReplica::VrReplica(std::shared_ptr<const object::ObjectModel> model,
                      VrConfig config)
-    : model_(std::move(model)), config_(config) {
-  client::ReplicaGateway::Hooks hooks;
-  hooks.accepts_rmw = [this] { return is_primary(); };
-  hooks.is_leader = [this] { return is_primary(); };
-  hooks.leader_hint = [this] { return primary_of(view_).index(); };
-  hooks.local_reads = false;  // VR reads take the full consensus round
-  hooks.submit_rmw = [this](const OperationId& id,
-                            const object::Operation& op) {
-    // ids_in_log_ dedups retries whose entry already survives in our log.
-    on(this->id(), msg::Request{id, op});
-  };
-  hooks.submit_read = [this](const object::Operation& op,
-                             std::function<void(std::string)> done) {
-    // VR treats reads like any other operation: run them through the log
-    // under a replica-own id (invisible to client sessions).
-    submit(op,
-           [done = std::move(done)](const object::Response& r) { done(r); });
-  };
-  gateway_.set_hooks(std::move(hooks));
-}
+    : model_(std::move(model)), config_(config) {}
 
 void VrReplica::on_start() {
   state_ = model_->make_initial_state();
@@ -430,13 +411,18 @@ void VrReplica::truncate_uncommitted_tail() {
 // Clients
 // ===========================================================================
 
-OperationId VrReplica::submit(object::Operation op, Callback callback) {
+OperationId VrReplica::submit_rmw(object::Operation op, Callback callback) {
   const OperationId id{this->id(), ++op_seq_};
   pending_ops_.try_emplace(
       id, PendingClientOp{std::move(op), std::move(callback),
                           sim::EventHandle()});
   client_send(id);
   return id;
+}
+
+void VrReplica::submit_rmw_as(const OperationId& id,
+                              const object::Operation& op) {
+  on(this->id(), msg::Request{id, op});
 }
 
 void VrReplica::client_send(const OperationId& id) {

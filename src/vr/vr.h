@@ -24,6 +24,7 @@
 #include <optional>
 #include <set>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "client/gateway.h"
@@ -151,9 +152,18 @@ class VrReplica : public sim::Process {
 
   VrReplica(std::shared_ptr<const object::ObjectModel> model, VrConfig config);
 
-  // Client API: VR treats reads and RMWs identically. Returns the
-  // operation's id for harness-side durability accounting.
-  OperationId submit(object::Operation op, Callback callback);
+  // Client API, mirroring core::Replica. VR treats reads like any other
+  // operation: both run through the log under a replica-own id, invisible
+  // to client sessions. submit_rmw returns the operation's id for
+  // harness-side durability accounting.
+  OperationId submit_rmw(object::Operation op, Callback callback);
+  void submit_read(object::Operation op, Callback callback) {
+    submit_rmw(std::move(op), std::move(callback));
+  }
+  // Networked-client entry point: appends an RMW under the client's session
+  // id while primary, and ignores it otherwise (the client retries).
+  // ids_in_log_ dedups retries whose entry already survives in the log.
+  void submit_rmw_as(const OperationId& id, const object::Operation& op);
 
   void on_start() override;
   // VR Revisited sec. 4.3: rejoin via the nonce-based recovery protocol —
@@ -176,6 +186,7 @@ class VrReplica : public sim::Process {
   bool is_primary() const {
     return status_ == Status::kNormal && primary_of(view_) == id();
   }
+  bool is_leader() const { return is_primary(); }
   std::int64_t commit_number() const { return commit_number_; }
   std::size_t log_size() const { return log_.size(); }
   const std::vector<VrLogEntry>& log() const { return log_; }
@@ -183,8 +194,10 @@ class VrReplica : public sim::Process {
 
   // Replica-side endpoint for networked clients (src/client/): everything —
   // reads included — is accepted only at the primary of a normal view;
-  // other replicas redirect at primary_of(view).
-  client::ReplicaGateway& client_gateway() { return gateway_; }
+  // other replicas redirect at leader_index().
+  static constexpr bool kAnyReplicaServes = false;
+  client::ReplicaGateway<VrReplica>& client_gateway() { return gateway_; }
+  int leader_index() const { return primary_of(view_).index(); }
 
  private:
   struct PendingClientOp {
@@ -285,7 +298,7 @@ class VrReplica : public sim::Process {
   metrics::Span span_recovery_{metrics().histogram("span.recovery_us")};
 
   // Networked-client endpoint.
-  client::ReplicaGateway gateway_{*this};
+  client::ReplicaGateway<VrReplica> gateway_{*this};
 };
 
 }  // namespace cht::vr

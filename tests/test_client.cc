@@ -1,8 +1,9 @@
 // Networked client subsystem tests: session-table admission semantics,
-// exactly-once RMWs under message duplication and crash loops, leader
-// routing via Redirects, and session-table rebuild through power-cycle
-// recovery. These pin the client-visible contract the chaos exactly-once
-// invariant checks probabilistically.
+// exactly-once RMWs under message duplication and crash loops, session-table
+// rebuild through power-cycle recovery, and VR's client path. These pin the
+// client-visible contract the chaos exactly-once invariant checks
+// probabilistically. Per-stack routing (served at a follower or redirected
+// to the leader) is a typed case in test_stack_cluster.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -204,28 +205,7 @@ TEST(ClientPathTest, PowerCycleRebuildsSessionTable) {
   EXPECT_EQ(*rebuilt.cached(id), "5");
 }
 
-// --- Raft / VR routing ------------------------------------------------------
-
-// A client whose home replica is a follower gets a Redirect pointing at the
-// leader and completes there; no timeout-rotation luck involved.
-TEST(RaftClientTest, FollowerRedirectsRmwToLeader) {
-  harness::RaftCluster cluster(client_config(8),
-                               std::make_shared<object::CounterObject>());
-  ASSERT_TRUE(cluster.await_leader(Duration::seconds(5)));
-  const int leader = cluster.leader();
-  const int follower_slot = (leader + 1) % cluster.n();
-
-  cluster.submit(follower_slot, object::CounterObject::add(3));
-  ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(30)));
-
-  client::Client& via = cluster.client(follower_slot);
-  EXPECT_GE(via.metrics().value("client.redirects"), 1)
-      << "first attempt lands on the follower home and must be redirected";
-  metrics::Registry merged;
-  cluster.merge_metrics_into(merged);
-  EXPECT_GE(merged.value("gateway.redirects"), 1);
-  EXPECT_EQ(merged.value("gateway.rmws"), 1);
-}
+// --- VR ---------------------------------------------------------------------
 
 TEST(VrClientTest, ClientPathCompletesAndCountsExactly) {
   harness::VrCluster cluster(client_config(12),

@@ -33,7 +33,7 @@ TEST(ReplicaBasicTest, ElectsASteadyLeader) {
   // Exactly one steady leader.
   int count = 0;
   for (int i = 0; i < cluster.n(); ++i) {
-    if (cluster.replica(i).is_steady_leader()) ++count;
+    if (cluster.replica(i).is_leader()) ++count;
   }
   EXPECT_EQ(count, 1);
 }

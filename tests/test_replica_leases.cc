@@ -210,7 +210,7 @@ TEST(LeaseTest, ReadsBlockWhileLeaderlessThenRecover) {
   cluster.run_for(cluster.replica_config().lease_period +
                   cluster.config().epsilon);
   const int reader = (leader + 1) % cluster.n();
-  if (!cluster.replica(reader).is_steady_leader()) {
+  if (!cluster.replica(reader).is_leader()) {
     const auto blocked_before =
         cluster.replica(reader).metrics().value("reads_blocked");
     cluster.submit(reader, object::RegisterObject::read());

@@ -31,7 +31,7 @@ TEST_P(ScaleTest, ElectsOneLeaderCommitsAndReads) {
   ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(10)));
   int leaders = 0;
   for (int i = 0; i < n; ++i) {
-    if (cluster.replica(i).is_steady_leader()) ++leaders;
+    if (cluster.replica(i).is_leader()) ++leaders;
   }
   EXPECT_EQ(leaders, 1);
   cluster.submit(0, object::RegisterObject::write("v"));

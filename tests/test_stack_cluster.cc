@@ -1,9 +1,11 @@
 // harness::StackCluster<Stack> is the one harness every protocol stack runs
 // under. These typed tests hold all three traits types to the same contract:
 // a leader emerges; both submit paths record the history, with ids on RMWs
-// only; a crashed leader is replaced and restarts; merged metrics carry the
-// storage counters and the leadership counter; and leadership_changes() is
-// that counter's cluster-wide sum.
+// only; a client homed on a follower is served there or redirected to the
+// leader, as the stack's kAnyReplicaServes says; a crashed leader is
+// replaced and restarts; merged metrics carry the storage counters and the
+// leadership counter; and leadership_changes() is that counter's
+// cluster-wide sum.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -91,6 +93,44 @@ TYPED_TEST(StackClusterTest, ClientPathRecordsHistoryWithIdsOnRmwsOnly) {
   EXPECT_EQ(*ops[1].response, "v1");
   EXPECT_EQ(ops[1].id, OperationId{});
   EXPECT_FALSE(cluster.crashed(cluster.n() + 1)) << "clients never crash";
+}
+
+// chtread's follower admits both requests itself; Raft and VR redirect both
+// to the leader, where they complete. No timeout-rotation luck involved.
+TYPED_TEST(StackClusterTest, FollowerHomedClientIsServedOrRedirected) {
+  harness::StackCluster<TypeParam> cluster(
+      config_with_clients(5), std::make_shared<object::RegisterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
+  const int leader = cluster.leader();
+  const int follower = (leader + 1) % cluster.n();
+  // Slot `follower` submits through client `follower`, homed there.
+  cluster.submit(follower, object::RegisterObject::write("v1"));
+  ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(30)));
+  cluster.submit(follower, object::RegisterObject::read());
+  ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(30)));
+  ASSERT_EQ(cluster.leader(), leader);
+
+  const auto& ops = cluster.history().ops();
+  ASSERT_EQ(ops.size(), 2u);
+  EXPECT_EQ(*ops[1].response, "v1");
+  const std::int64_t redirects =
+      cluster.client(follower).metrics().value("client.redirects");
+  metrics::Registry merged;
+  cluster.merge_metrics_into(merged);
+  EXPECT_EQ(merged.value("gateway.rmws"), 1);
+  const int server =
+      TypeParam::Replica::kAnyReplicaServes ? follower : leader;
+  EXPECT_EQ(cluster.replica(server).metrics().value("gateway.rmws"), 1);
+  EXPECT_EQ(cluster.replica(server).metrics().value("gateway.reads"), 1);
+  if constexpr (TypeParam::Replica::kAnyReplicaServes) {
+    EXPECT_EQ(redirects, 0);
+    EXPECT_EQ(merged.value("gateway.redirects"), 0);
+  } else {
+    EXPECT_GE(redirects, 2)
+        << "both first attempts land on the follower home and must be "
+           "redirected";
+    EXPECT_GE(merged.value("gateway.redirects"), 2);
+  }
 }
 
 TYPED_TEST(StackClusterTest, LeaderCrashRestartAndReelection) {

@@ -38,6 +38,7 @@
 #include "chaos/spec.h"
 #include "chaos/sweep.h"
 #include "common/experiment.h"
+#include "flags.h"
 #include "metrics/table.h"
 
 namespace {
@@ -58,15 +59,9 @@ struct Options {
   bool verbose = false;
 };
 
-bool parse_flag(const std::string& arg, const std::string& name,
-                std::string& out) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = arg.substr(prefix.size());
-  return true;
-}
-
 Options parse(int argc, char** argv) {
+  using cli::number;
+  using cli::parse_flag;
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -78,41 +73,42 @@ Options parse(int argc, char** argv) {
     } else if (parse_flag(arg, "object", value)) {
       options.object = value;
     } else if (parse_flag(arg, "seeds", value)) {
-      options.seeds = std::stoi(value);
+      options.seeds = number("seeds", value, 1);
     } else if (parse_flag(arg, "seed-start", value)) {
-      options.seed_start = std::stoull(value);
+      options.seed_start = number<std::uint64_t>("seed-start", value);
     } else if (parse_flag(arg, "threads", value)) {
-      options.threads = std::stoi(value);
+      options.threads = number<int>("threads", value);
     } else if (parse_flag(arg, "n", value)) {
-      options.base.n = std::stoi(value);
+      options.base.n = number("n", value, 1);
     } else if (parse_flag(arg, "ops", value)) {
-      options.base.ops = std::stoi(value);
+      options.base.ops = number("ops", value, 1);
     } else if (parse_flag(arg, "read-fraction", value)) {
-      options.base.read_fraction = std::stod(value);
+      options.base.read_fraction = number<double>("read-fraction", value);
     } else if (parse_flag(arg, "key-skew", value)) {
-      options.base.key_skew = std::stod(value);
+      options.base.key_skew = number<double>("key-skew", value);
     } else if (parse_flag(arg, "delta-ms", value)) {
-      options.base.delta_ms = std::stoll(value);
+      options.base.delta_ms = number<std::int64_t>("delta-ms", value);
     } else if (parse_flag(arg, "epsilon-ms", value)) {
-      options.base.epsilon_ms = std::stoll(value);
+      options.base.epsilon_ms = number<std::int64_t>("epsilon-ms", value);
     } else if (parse_flag(arg, "gst-ms", value)) {
-      options.base.gst_ms = std::stoll(value);
+      options.base.gst_ms = number<std::int64_t>("gst-ms", value);
     } else if (parse_flag(arg, "loss", value)) {
-      options.base.pre_gst_loss = std::stod(value);
+      options.base.pre_gst_loss = number<double>("loss", value);
     } else if (parse_flag(arg, "sync-latency-us", value)) {
-      options.base.sync_latency_us = std::stoll(value);
+      options.base.sync_latency_us =
+          number<std::int64_t>("sync-latency-us", value);
     } else if (parse_flag(arg, "key-loss", value)) {
-      options.base.unsynced_key_loss = std::stod(value);
+      options.base.unsynced_key_loss = number<double>("key-loss", value);
     } else if (parse_flag(arg, "group-commit", value)) {
-      options.base.group_commit = std::stoi(value) != 0;
+      options.base.group_commit = number<int>("group-commit", value) != 0;
     } else if (parse_flag(arg, "client-path", value)) {
-      options.base.client_path = std::stoi(value) != 0;
+      options.base.client_path = number<int>("client-path", value) != 0;
     } else if (parse_flag(arg, "clock-guard", value)) {
-      options.base.clock_guard = std::stoi(value) != 0;
+      options.base.clock_guard = number<int>("clock-guard", value) != 0;
     } else if (parse_flag(arg, "max-inflight", value)) {
-      options.base.max_inflight = std::stoi(value);
+      options.base.max_inflight = number("max-inflight", value, 1);
     } else if (parse_flag(arg, "check-budget", value)) {
-      options.base.check_budget = std::stoll(value);
+      options.base.check_budget = number<std::int64_t>("check-budget", value);
     } else if (parse_flag(arg, "artifact-dir", value)) {
       options.artifact_dir = value;
     } else if (parse_flag(arg, "repro", value)) {
@@ -130,8 +126,9 @@ Options parse(int argc, char** argv) {
     }
   }
   // Validate names up front so a typo gets a usage error, not an assert
-  // from deep inside adapter construction (and a vacuous --seeds=0 sweep
-  // cannot report "all runs passed").
+  // from deep inside adapter construction. (Numeric flags were checked as
+  // they were parsed, so a vacuous --seeds=0 or --ops=0 sweep cannot report
+  // "all runs passed".)
   const auto check_name = [](const std::string& flag, const std::string& value,
                              const std::vector<std::string>& known) {
     if (value == "all") return;
@@ -147,10 +144,6 @@ Options parse(int argc, char** argv) {
     check_name("protocol", options.protocol, chaos::known_protocols());
     check_name("profile", options.profile, chaos::known_profiles());
     check_name("object", options.object, chaos::known_objects());
-    if (options.seeds < 1) {
-      std::cerr << "--seeds must be >= 1 (got " << options.seeds << ")\n";
-      std::exit(2);
-    }
   }
   return options;
 }

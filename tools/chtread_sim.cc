@@ -23,6 +23,7 @@
 #include "checker/linearizability.h"
 #include "common/experiment.h"
 #include "common/rng.h"
+#include "flags.h"
 #include "harness/cluster.h"
 #include "metrics/stats.h"
 #include "metrics/table.h"
@@ -49,27 +50,21 @@ struct Options {
   std::string metrics_out;  // artifact path; empty = no artifact
 };
 
-bool parse_flag(const std::string& arg, const std::string& name,
-                std::string& out) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = arg.substr(prefix.size());
-  return true;
-}
-
 Options parse(int argc, char** argv) {
+  using cli::number;
+  using cli::parse_flag;
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
     if (parse_flag(arg, "n", value)) {
-      options.n = std::stoi(value);
+      options.n = number("n", value, 1);
     } else if (parse_flag(arg, "delta-ms", value)) {
-      options.delta_ms = std::stoll(value);
+      options.delta_ms = number<std::int64_t>("delta-ms", value);
     } else if (parse_flag(arg, "epsilon-ms", value)) {
-      options.epsilon_ms = std::stoll(value);
+      options.epsilon_ms = number<std::int64_t>("epsilon-ms", value);
     } else if (parse_flag(arg, "seed", value)) {
-      options.seed = std::stoull(value);
+      options.seed = number<std::uint64_t>("seed", value);
     } else if (parse_flag(arg, "protocol", value)) {
       options.protocol = value;
     } else if (parse_flag(arg, "reads", value)) {
@@ -77,17 +72,18 @@ Options parse(int argc, char** argv) {
     } else if (parse_flag(arg, "workload", value)) {
       options.workload = value;
     } else if (parse_flag(arg, "ops", value)) {
-      options.ops = std::stoi(value);
+      options.ops = number<int>("ops", value);
     } else if (parse_flag(arg, "gst-ms", value)) {
-      options.gst_ms = std::stoll(value);
+      options.gst_ms = number<std::int64_t>("gst-ms", value);
     } else if (parse_flag(arg, "loss", value)) {
-      options.loss = std::stod(value);
+      options.loss = number<double>("loss", value);
     } else if (parse_flag(arg, "crash-leader-at-ms", value)) {
-      options.crash_leader_at_ms = std::stoll(value);
+      options.crash_leader_at_ms =
+          number<std::int64_t>("crash-leader-at-ms", value);
     } else if (parse_flag(arg, "check", value)) {
       options.check = value != "off";
     } else if (parse_flag(arg, "trace", value)) {
-      options.trace = std::stoi(value);
+      options.trace = number<int>("trace", value);
     } else if (parse_flag(arg, "metrics-out", value)) {
       options.metrics_out = value;
     } else if (arg == "--help" || arg == "-h") {
