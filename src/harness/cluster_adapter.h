@@ -66,8 +66,8 @@ class ClusterAdapter {
 
   // Ids of *durable* non-read operations at one replica: everything the
   // replica's stable state still carries, whether or not it has been applied
-  // yet. Defaults to the applied prefix; chtread overrides it with stored
-  // batch contents, because a just-restarted replica may durably hold a
+  // yet. Defaults to the committed ids; chtread's are its stored batches'
+  // contents, because a just-restarted replica may durably hold a
   // batch it has not re-applied when the final-state check runs (the applied
   // prefix momentarily understates what survived the crash). The durability
   // invariant consumes this; exactly-once keeps the strict applied prefix.
@@ -107,8 +107,10 @@ class ClusterAdapter {
   virtual std::size_t submitted() const = 0;
   virtual std::size_t completed() const = 0;
 
-  // Protocol-specific safety invariants, evaluated against final replica
-  // state (election safety, committed-prefix agreement, ...). Returns
+  // Cross-replica safety invariants over the live replicas' final state: at
+  // most one leader per epoch (EL1), and any two committed sequences agree
+  // entry by entry on their common prefix (I1). StackCluster checks them
+  // once for every stack (harness::safety_violations). Returns
   // human-readable violation descriptions; empty means all hold.
   virtual std::vector<std::string> protocol_invariants() = 0;
 
