@@ -4,16 +4,23 @@
 // only; a client homed on a follower is served there or redirected to the
 // leader, as the stack's kAnyReplicaServes says; a crashed leader is
 // replaced and restarts; merged metrics carry the storage counters and the
-// leadership counter; and leadership_changes() is that counter's
-// cluster-wide sum.
+// leadership counter; leadership_changes() is that counter's cluster-wide
+// sum; and a write workload keeps the protocol invariants. The invariants'
+// checks themselves, harness::safety_violations, are shown to fire on
+// hand-built replicas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "core/messages.h"
 #include "harness/cluster.h"
 #include "metrics/registry.h"
 #include "object/register_object.h"
+#include "raft/raft.h"
 
 namespace cht {
 namespace {
@@ -175,6 +182,94 @@ TYPED_TEST(StackClusterTest, MergedMetricsCarryStorageAndLeadership) {
   EXPECT_NE(merged.find_histogram("storage.flush_width"), nullptr);
   EXPECT_GE(merged.value("became_leader"), 1);
   EXPECT_EQ(cluster.leadership_changes(), merged.value("became_leader"));
+}
+
+// Writes submitted at every replica in turn: every replica commits all of
+// them, and the committed sequences agree under one leader per epoch.
+TYPED_TEST(StackClusterTest, WriteWorkloadKeepsProtocolInvariants) {
+  harness::StackCluster<TypeParam> cluster(
+      config_with_clients(0), std::make_shared<object::RegisterObject>());
+  ASSERT_TRUE(cluster.await_leader(Duration::seconds(10)));
+  for (int k = 0; k < 20; ++k) {
+    cluster.submit(k % cluster.n(),
+                   object::RegisterObject::write("v" + std::to_string(k)));
+    cluster.run_for(Duration::millis(5));
+  }
+  ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(30)));
+  cluster.run_for(Duration::seconds(1));  // let followers catch up
+
+  for (int i = 0; i < cluster.n(); ++i) {
+    const std::vector<OperationId> ids = cluster.committed_op_ids_of(i);
+    for (const auto& write : cluster.history().ops()) {
+      EXPECT_NE(std::ranges::find(ids, write.id), ids.end())
+          << write.op << " not committed at p" << i;
+    }
+  }
+  EXPECT_EQ(cluster.protocol_invariants(), std::vector<std::string>{});
+}
+
+// --- harness::safety_violations on hand-built replicas ----------------------
+
+OperationId id_of(std::int64_t seq) { return OperationId{ProcessId(0), seq}; }
+
+raft::LogEntry entry(std::int64_t term, std::int64_t seq) {
+  return {term, id_of(seq), object::RegisterObject::write("v")};
+}
+
+core::BatchOp op(std::int64_t seq) {
+  return {id_of(seq), object::RegisterObject::write("v")};
+}
+
+using Log = std::vector<raft::LogEntry>;
+using Batches = std::vector<core::Batch>;
+
+TEST(SafetyViolationsTest, TwoLiveLeadersOfOneEpochAreFlagged) {
+  const std::vector<harness::LiveReplica<Log>> live{
+      {0, true, 3, {}}, {1, false, 3, {}}, {2, true, 3, {}}};
+  EXPECT_EQ(harness::safety_violations("raft", live),
+            std::vector<std::string>{"raft: p0 and p2 both lead epoch 3"});
+
+  // Without epochs, two leaders at once are one too many.
+  const std::vector<harness::LiveReplica<Batches>> no_epochs{
+      {0, true, std::nullopt, {}}, {4, true, std::nullopt, {}}};
+  EXPECT_EQ(harness::safety_violations("chtread", no_epochs),
+            std::vector<std::string>{"chtread: p0 and p4 both lead"});
+}
+
+TEST(SafetyViolationsTest, LeadersOfDifferentEpochsAreAllowed) {
+  const std::vector<harness::LiveReplica<Log>> live{{0, true, 3, {}},
+                                                    {2, true, 4, {}}};
+  EXPECT_TRUE(harness::safety_violations("raft", live).empty());
+}
+
+TEST(SafetyViolationsTest, DifferingCommittedEntryIsFlagged) {
+  const std::vector<harness::LiveReplica<Log>> live{
+      {0, false, 2, {entry(1, 1), entry(1, 2), entry(2, 3)}},
+      {1, false, 2, {entry(1, 1), entry(2, 2), entry(2, 3)}}};
+  EXPECT_EQ(
+      harness::safety_violations("raft", live),
+      std::vector<std::string>{"raft: p0 and p1 differ at committed entry 2"});
+}
+
+// The same operations in the same order, cut into different batches: the
+// batch, not the operation, is chtread's committed entry, so comparing the
+// flattened operation lists would miss this.
+TEST(SafetyViolationsTest, BatchBoundaryDifferenceIsFlagged) {
+  const std::vector<harness::LiveReplica<Batches>> live{
+      {0, false, std::nullopt, {{op(1), op(2)}, {op(3)}}},
+      {1, false, std::nullopt, {{op(1)}, {op(2), op(3)}}}};
+  EXPECT_EQ(harness::safety_violations("chtread", live),
+            std::vector<std::string>{
+                "chtread: p0 and p1 differ at committed entry 1"});
+}
+
+TEST(SafetyViolationsTest, AgreeingPrefixesOfDifferentLengthsAreAllowed) {
+  const std::vector<harness::LiveReplica<Log>> live{
+      {0, false, 1, {entry(1, 1), entry(1, 2), entry(1, 3)}},
+      {1, false, 1, {entry(1, 1)}},
+      {2, false, 1, {}},
+      {3, true, 1, {entry(1, 1), entry(1, 2)}}};
+  EXPECT_TRUE(harness::safety_violations("raft", live).empty());
 }
 
 }  // namespace
