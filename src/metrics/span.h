@@ -22,7 +22,6 @@ class Span {
   explicit Span(Histogram& histogram) : histogram_(&histogram) {}
 
   bool active() const { return active_; }
-  std::int64_t begin_at() const { return begin_; }
 
   void begin(std::int64_t now) {
     begin_ = now;
