@@ -68,7 +68,6 @@ Replica::Snapshot Replica::snapshot() {
   s.estimate = estimate_;
   s.lease = lease_;
   s.leaseholders = leaseholders_;
-  s.batches = batches_;
   s.pending_reads = pending_reads_.size();
   s.pending_rmws = pending_rmw_.size();
   s.forwarded_reads = forwarded_reads_.size();

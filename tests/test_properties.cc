@@ -41,7 +41,7 @@ void check_cross_replica_invariants(Cluster& cluster) {
   std::map<BatchNumber, core::Batch> global;
   std::map<OperationId, BatchNumber> op_to_batch;
   for (int i = 0; i < cluster.n(); ++i) {
-    for (const auto& [number, ops] : cluster.replica(i).snapshot().batches) {
+    for (const auto& [number, ops] : cluster.replica(i).batches()) {
       auto it = global.find(number);
       if (it == global.end()) {
         global.emplace(number, ops);
@@ -67,7 +67,7 @@ void check_cross_replica_invariants(Cluster& cluster) {
   for (BatchNumber i = 1; i < max_committed; ++i) {
     int holders = 0;
     for (int p = 0; p < cluster.n(); ++p) {
-      if (cluster.replica(p).snapshot().batches.contains(i)) ++holders;
+      if (cluster.replica(p).batches().contains(i)) ++holders;
     }
     ASSERT_GT(holders, cluster.n() / 2)
         << "I3 violated: batch " << i << " held by " << holders << " of "

@@ -166,7 +166,7 @@ TEST_F(ProtocolTest, PrepareStoresPreviousBatch) {
   // and apply it even though it never saw Prepare/Commit for 1.
   puppet(0).send(replica_id(), core::msg::Prepare{b2, lt(1000), 2, b1});
   run(Duration::millis(10));
-  EXPECT_TRUE(replica().snapshot().batches.contains(1));
+  EXPECT_TRUE(replica().batches().contains(1));
   EXPECT_EQ(replica().snapshot().applied_upto, 1);
   EXPECT_EQ(puppet(0).count<core::msg::PrepareAck>(), 1);
 }
