@@ -185,16 +185,14 @@ int main(int argc, char** argv) {
       last_value = "epoch" + std::to_string(c);
       cluster.submit(leader, object::RegisterObject::write(last_value));
       cluster.await_quiesce(Duration::seconds(10));
-      const auto target = cluster.replica(leader).snapshot().applied_upto;
+      const auto target = cluster.replica(leader).applied_upto();
       cluster.sim().crash(ProcessId(victim));
       cluster.run_for(Duration::millis(200));  // downtime with the op acked
       const RealTime restarted_at = cluster.sim().now();
       cluster.restart(victim);
       ++bounced;
       const bool caught_up = cluster.sim().run_until(
-          [&] {
-            return cluster.replica(victim).snapshot().applied_upto >= target;
-          },
+          [&] { return cluster.replica(victim).applied_upto() >= target; },
           restarted_at + Duration::seconds(30));
       if (caught_up) recovery.record(cluster.sim().now() - restarted_at);
     }

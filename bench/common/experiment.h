@@ -180,7 +180,6 @@ class ExperimentResult {
     value.set("label", label);
     const auto reg = metrics::registry_to_json(registry);
     if (const auto* c = reg.find("counters")) value.set("counters", *c);
-    if (const auto* g = reg.find("gauges")) value.set("gauges", *g);
     if (const auto* h = reg.find("histograms")) value.set("histograms", *h);
     auto msgs = metrics::json::Value::object();
     msgs.set("sent", messages.sent);

@@ -31,7 +31,7 @@ int main() {
   cluster.await_quiesce(Duration::seconds(5));
   stamp();
   std::cout << "put(inventory, 42) committed (batch "
-            << cluster.replica(leader1).snapshot().applied_upto << ")\n";
+            << cluster.replica(leader1).applied_upto() << ")\n";
 
   // Submit a write and kill the leader while it is being prepared.
   cluster.submit(2, object::KVObject::put("inventory", "41"));

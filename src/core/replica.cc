@@ -59,23 +59,6 @@ Replica::Replica(std::shared_ptr<const object::ObjectModel> model,
   metrics().set_enabled(config_.metrics_enabled);
 }
 
-Replica::Snapshot Replica::snapshot() {
-  Snapshot s;
-  s.phase = phase_;
-  s.steady_leader = is_leader();
-  s.applied_upto = applied_upto_;
-  s.max_known_batch = max_known_batch_;
-  s.estimate = estimate_;
-  s.lease = lease_;
-  s.leaseholders = leaseholders_;
-  s.pending_reads = pending_reads_.size();
-  s.pending_rmws = pending_rmw_.size();
-  s.forwarded_reads = forwarded_reads_.size();
-  s.clock_suspect = clock_guard_.suspect();
-  s.clock_suspect_transitions = clock_guard_.transitions().size();
-  return s;
-}
-
 void Replica::on_start() {
   state_ = model_->make_initial_state();
   seed_op_sequences();

@@ -96,41 +96,19 @@ class Replica : public sim::Process {
                  msg::BatchRequest, msg::BatchReply>;
 
   // --- Introspection (tests, invariant checkers, benches) -------------------
-  enum class Phase { kFollower, kCollecting, kFetching, kInitDoOps, kSteady };
-
-  // One coherent copy of the externally observable protocol state, taken at
-  // a single instant. Replaces the former pile of ad-hoc getters
-  // (max_known_batch()/lease()/leaseholders()/...): callers snapshot once
-  // and read fields, so cross-field checks cannot interleave with protocol
-  // events. The batch store is read in place, through batches().
-  struct Snapshot {
-    Phase phase = Phase::kFollower;
-    bool steady_leader = false;  // steady phase and AmLeader still holds
-    BatchNumber applied_upto = 0;
-    BatchNumber max_known_batch = 0;
-    std::optional<Estimate> estimate;
-    std::optional<Lease> lease;
-    std::set<int> leaseholders;
-    std::size_t pending_reads = 0;
-    std::size_t pending_rmws = 0;
-    std::size_t forwarded_reads = 0;
-    // Clock-health guard (clock_guard.h): whether this replica currently
-    // distrusts its clock (lease reads degraded to the RMW path) and how
-    // many times the state has flipped.
-    bool clock_suspect = false;
-    std::size_t clock_suspect_transitions = 0;
-  };
-  // Non-const: steady_leader evaluates AmLeader against the current clock.
-  Snapshot snapshot();
-
-  // The steady leader: steady phase and AmLeader still holds. Cheap form of
-  // Snapshot::steady_leader for run_until() polling predicates.
+  // The steady leader: steady phase and AmLeader still holds. Non-const:
+  // AmLeader is evaluated against the current clock.
   bool is_leader();
 
-  // The batch store (Batch[]), read in place. Batches 1..applied_upto() are
-  // all present.
+  // The paper's per-process variables, read in place. Batches
+  // 1..applied_upto() of Batch[] are all present.
   const std::map<BatchNumber, Batch>& batches() const { return batches_; }
   BatchNumber applied_upto() const { return applied_upto_; }
+  BatchNumber max_known_batch() const { return max_known_batch_; }
+  const std::optional<Estimate>& estimate() const { return estimate_; }
+  const std::optional<Lease>& lease() const { return lease_; }
+  // The leaseholder set of this process's current or latest reign.
+  const std::set<int>& leaseholders() const { return leaseholders_; }
 
   const object::ObjectState& applied_state() const { return *state_; }
   const object::ObjectModel& model() const { return *model_; }
@@ -141,6 +119,8 @@ class Replica : public sim::Process {
 
  private:
   // --- Leader state machine -------------------------------------------------
+  enum class Phase { kFollower, kCollecting, kFetching, kInitDoOps, kSteady };
+
   struct DoOpsState {
     Batch ops;
     BatchNumber number = 0;

@@ -194,10 +194,6 @@ json::Value registry_to_json(const Registry& registry) {
   registry.for_each_counter(
       [&](const Counter& c) { counters.set(c.name(), c.value()); });
   value.set("counters", std::move(counters));
-  auto gauges = json::Value::object();
-  registry.for_each_gauge(
-      [&](const Gauge& g) { gauges.set(g.name(), g.value()); });
-  value.set("gauges", std::move(gauges));
   auto histograms = json::Value::object();
   registry.for_each_histogram([&](const Histogram& h) {
     histograms.set(h.name(), histogram_to_json(h));

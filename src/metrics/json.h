@@ -11,7 +11,7 @@
 //     "sections":      [{id, claim, headers, rows, notes}],
 //     "metrics":       {flat name -> number},
 //     "configs":       [{label, cluster fields..., overrides{...}}],
-//     "observability": [{label, counters{}, gauges{}, histograms{name ->
+//     "observability": [{label, counters{}, histograms{name ->
 //                        {count,sum,min,max,mean,p50,p99,buckets}},
 //                        messages{sent,delivered,dropped,by_type{}}}]
 //   }
@@ -92,7 +92,7 @@ std::string escape(const std::string& s);
 // (only non-empty buckets are listed).
 json::Value histogram_to_json(const Histogram& histogram);
 
-// {counters:{name: value}, gauges:{name: value}, histograms:{name: {...}}}.
+// {counters:{name: value}, histograms:{name: {...}}}.
 json::Value registry_to_json(const Registry& registry);
 
 }  // namespace cht::metrics

@@ -46,17 +46,6 @@ Counter& Registry::counter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_
-             .emplace(std::string(name), std::unique_ptr<Gauge>(new Gauge(
-                                             std::string(name), &enabled_)))
-             .first;
-  }
-  return *it->second;
-}
-
 Histogram& Registry::histogram(std::string_view name) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
@@ -73,9 +62,6 @@ std::int64_t Registry::value(std::string_view name) const {
   if (const auto it = counters_.find(name); it != counters_.end()) {
     return it->second->value();
   }
-  if (const auto it = gauges_.find(name); it != gauges_.end()) {
-    return it->second->value();
-  }
   return 0;
 }
 
@@ -87,9 +73,6 @@ const Histogram* Registry::find_histogram(std::string_view name) const {
 void Registry::merge_from(const Registry& other) {
   other.for_each_counter(
       [this](const Counter& c) { counter(c.name()).inc(c.value()); });
-  other.for_each_gauge([this](const Gauge& g) {
-    gauge(g.name()).set(gauge(g.name()).value() + g.value());
-  });
   other.for_each_histogram(
       [this](const Histogram& h) { histogram(h.name()).merge_from(h); });
 }

@@ -1,8 +1,8 @@
-// Observability core: a per-process registry of named counters, gauges and
+// Observability core: a per-process registry of named counters and
 // fixed-bucket log-scale histograms.
 //
 // Design constraints (see docs/OBSERVABILITY.md):
-//   - the record path (Counter::inc, Gauge::set, Histogram::record) is
+//   - the record path (Counter::inc, Histogram::record) is
 //     allocation-free: handles are obtained once at registration time and
 //     write into pre-allocated storage;
 //   - with the registry disabled every record call costs exactly one branch
@@ -44,25 +44,6 @@ class Counter {
  private:
   friend class Registry;
   Counter(std::string name, const bool* enabled)
-      : name_(std::move(name)), enabled_(enabled) {}
-  std::string name_;
-  const bool* enabled_;
-  std::int64_t value_ = 0;
-};
-
-// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(std::int64_t value) {
-    if (!*enabled_) return;
-    value_ = value;
-  }
-  std::int64_t value() const { return value_; }
-  const std::string& name() const { return name_; }
-
- private:
-  friend class Registry;
-  Gauge(std::string name, const bool* enabled)
       : name_(std::move(name)), enabled_(enabled) {}
   std::string name_;
   const bool* enabled_;
@@ -141,7 +122,7 @@ class Histogram {
   std::int64_t max_ = 0;
 };
 
-// Owns all metrics of one process. Registration (counter/gauge/histogram)
+// Owns all metrics of one process. Registration (counter/histogram)
 // allocates and may be called at any time; the returned references stay
 // valid for the registry's lifetime. Not copyable or movable: handles point
 // into it.
@@ -155,7 +136,6 @@ class Registry {
   void set_enabled(bool enabled) { enabled_ = enabled; }
 
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   // Convenience name-based increment (does a map lookup; prefer handles on
@@ -170,7 +150,7 @@ class Registry {
   const Histogram* find_histogram(std::string_view name) const;
 
   // Adds every metric of `other` into this registry, matching by name and
-  // creating missing entries (counters/gauges add values; histograms merge
+  // creating missing entries (counters add values; histograms merge
   // bucket-wise). Used to aggregate per-replica registries.
   void merge_from(const Registry& other);
 
@@ -180,10 +160,6 @@ class Registry {
     for (const auto& [name, c] : counters_) fn(*c);
   }
   template <class Fn>
-  void for_each_gauge(Fn fn) const {
-    for (const auto& [name, g] : gauges_) fn(*g);
-  }
-  template <class Fn>
   void for_each_histogram(Fn fn) const {
     for (const auto& [name, h] : histograms_) fn(*h);
   }
@@ -191,7 +167,6 @@ class Registry {
  private:
   bool enabled_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 

@@ -36,7 +36,6 @@ class Trace {
   }
 
   const std::vector<TraceEvent>& events() const { return events_; }
-  void clear() { events_.clear(); }
 
   // Prints the last `limit` events (0 = all), optionally filtered to a
   // category prefix (e.g. "span." or "leader").

@@ -107,9 +107,9 @@ TEST(BatchingTest, NoOpCommittedOnQuietLeadershipChange) {
   // The first leader's own NoOp commits shortly after it enters steady
   // state.
   ASSERT_TRUE(cluster.sim().run_until(
-      [&] { return cluster.replica(first).snapshot().max_known_batch >= 1; },
+      [&] { return cluster.replica(first).max_known_batch() >= 1; },
       cluster.sim().now() + Duration::seconds(5)));
-  const BatchNumber before = cluster.replica(first).snapshot().max_known_batch;
+  const BatchNumber before = cluster.replica(first).max_known_batch();
   cluster.sim().crash(ProcessId(first));
   int second = -1;
   ASSERT_TRUE(cluster.sim().run_until(
@@ -119,7 +119,7 @@ TEST(BatchingTest, NoOpCommittedOnQuietLeadershipChange) {
       },
       cluster.sim().now() + Duration::seconds(30)));
   cluster.run_for(Duration::seconds(1));
-  EXPECT_GT(cluster.replica(second).snapshot().max_known_batch, before)
+  EXPECT_GT(cluster.replica(second).max_known_batch(), before)
       << "new leader should have committed a fresh NoOp batch";
 }
 

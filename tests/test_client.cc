@@ -186,14 +186,12 @@ TEST(ClientPathTest, PowerCycleRebuildsSessionTable) {
                                           Duration::seconds(30)));
 
   const int victim = (leader + 1) % cluster.n();
-  const auto target = cluster.replica(leader).snapshot().applied_upto;
+  const auto target = cluster.replica(leader).applied_upto();
   cluster.sim().crash(ProcessId(victim));
   cluster.run_for(Duration::millis(300));
   cluster.restart(victim);
   ASSERT_TRUE(cluster.sim().run_until(
-      [&] {
-        return cluster.replica(victim).snapshot().applied_upto >= target;
-      },
+      [&] { return cluster.replica(victim).applied_upto() >= target; },
       cluster.sim().now() + Duration::seconds(30)))
       << "restarted follower never replayed to the pre-crash applied prefix";
 

@@ -141,8 +141,8 @@ TEST(ClockGuardChtreadTest, SkewedReplicaDegradesReadsAndStaysLinearizable) {
   cluster.sim().set_clock_offset(ProcessId(victim), Duration::seconds(30));
   // Any message arriving at the victim now shows ~30s of provable skew.
   cluster.run_for(Duration::millis(50));
-  EXPECT_TRUE(cluster.replica(victim).snapshot().clock_suspect);
-  EXPECT_GE(cluster.replica(victim).snapshot().clock_suspect_transitions, 1u);
+  EXPECT_TRUE(cluster.replica(victim).clock_guard().suspect());
+  EXPECT_GE(cluster.replica(victim).clock_guard().transitions().size(), 1u);
 
   const RealTime before = cluster.sim().now();
   cluster.submit(victim, object::RegisterObject::read());
@@ -176,7 +176,7 @@ TEST(ClockGuardChtreadTest, SuspectLeaderStopsLeasesAndRequalifies) {
   cluster.sim().set_clock_offset(ProcessId(leader), Duration::millis(50));
   cluster.submit(leader, object::RegisterObject::write("v2"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
-  ASSERT_TRUE(cluster.replica(leader).snapshot().clock_suspect);
+  ASSERT_TRUE(cluster.replica(leader).clock_guard().suspect());
 
   // The leader's own read degrades but still answers, fresh.
   cluster.submit(leader, object::RegisterObject::read());
@@ -188,7 +188,7 @@ TEST(ClockGuardChtreadTest, SuspectLeaderStopsLeasesAndRequalifies) {
   // the stale evidence decays, a clean window passes, and the guard clears.
   cluster.sim().set_clock_offset(ProcessId(leader), Duration::zero());
   cluster.run_for(Duration::millis(400));
-  EXPECT_FALSE(cluster.replica(leader).snapshot().clock_suspect);
+  EXPECT_FALSE(cluster.replica(leader).clock_guard().suspect());
 
   // Lease reads work again: a follower read completes with the live value.
   cluster.submit((leader + 1) % cluster.n(), object::RegisterObject::read());

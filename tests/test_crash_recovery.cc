@@ -42,14 +42,14 @@ TEST(CrashRecoveryTest, ChtreadAckedWriteSurvivesFollowerPowerCycle) {
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(10)));
 
   const int victim = (leader + 1) % cluster.n();
-  const auto target = cluster.replica(leader).snapshot().applied_upto;
+  const auto target = cluster.replica(leader).applied_upto();
   cluster.sim().crash(ProcessId(victim));
   cluster.run_for(Duration::millis(300));
   cluster.restart(victim);
   EXPECT_EQ(cluster.sim().incarnation(ProcessId(victim)), 1);
 
   const bool caught_up = cluster.sim().run_until(
-      [&] { return cluster.replica(victim).snapshot().applied_upto >= target; },
+      [&] { return cluster.replica(victim).applied_upto() >= target; },
       cluster.sim().now() + Duration::seconds(30));
   EXPECT_TRUE(caught_up) << "restarted follower never replayed to the "
                             "leader's pre-crash applied prefix";

@@ -185,12 +185,10 @@ TEST(RegistryTest, MergeCreatesMissingEntries) {
   a.counter("shared").inc(2);
   b.counter("shared").inc(3);
   b.counter("only_b").inc(7);
-  b.gauge("depth").set(4);
   b.histogram("h_us").record(10);
   a.merge_from(b);
   EXPECT_EQ(a.value("shared"), 5);
   EXPECT_EQ(a.value("only_b"), 7);
-  EXPECT_EQ(a.value("depth"), 4);
   ASSERT_NE(a.find_histogram("h_us"), nullptr);
   EXPECT_EQ(a.find_histogram("h_us")->count(), 1);
   // Lookups of unknown names are zero/null, not errors.
@@ -202,19 +200,16 @@ TEST(RegistryTest, DisabledRecordPathIsInertAndAllocationFree) {
   Registry registry(/*enabled=*/false);
   // Registration may allocate (handles are obtained once, at setup time).
   auto& counter = registry.counter("c");
-  auto& gauge = registry.gauge("g");
   auto& histogram = registry.histogram("h_us");
   const std::size_t allocations_before = g_allocations;
   for (int i = 0; i < 10000; ++i) {
     counter.inc();
-    gauge.set(i);
     histogram.record(i);
   }
   const std::size_t allocations_after = g_allocations;
   EXPECT_EQ(allocations_after, allocations_before)
       << "disabled record path must not allocate";
   EXPECT_EQ(counter.value(), 0);
-  EXPECT_EQ(gauge.value(), 0);
   EXPECT_EQ(histogram.count(), 0);
 }
 

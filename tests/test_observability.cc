@@ -60,7 +60,6 @@ std::string render_fixed_artifact(const std::string& path) {
 
   metrics::Registry registry;
   registry.counter("reads_completed").inc(10);
-  registry.gauge("depth").set(2);
   auto& h = registry.histogram("span.read.block_us");
   h.record(100);
   h.record(900);

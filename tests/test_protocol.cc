@@ -80,10 +80,10 @@ TEST_F(ProtocolTest, PrepareIsAdoptedAndAcked) {
   const auto& ack = *puppet(0).last<core::msg::PrepareAck>();
   EXPECT_EQ(ack.leader_time, lt(1000));
   EXPECT_EQ(ack.number, 1);
-  ASSERT_TRUE(replica().snapshot().estimate.has_value());
-  EXPECT_EQ(replica().snapshot().estimate->k, 1);
-  EXPECT_EQ(replica().snapshot().estimate->ts, lt(1000));
-  EXPECT_EQ(replica().snapshot().estimate->ops, ops);
+  ASSERT_TRUE(replica().estimate().has_value());
+  EXPECT_EQ(replica().estimate()->k, 1);
+  EXPECT_EQ(replica().estimate()->ts, lt(1000));
+  EXPECT_EQ(replica().estimate()->ops, ops);
 }
 
 TEST_F(ProtocolTest, StalePrepareIsIgnoredAfterFresherEstimate) {
@@ -96,7 +96,7 @@ TEST_F(ProtocolTest, StalePrepareIsIgnoredAfterFresherEstimate) {
                  core::msg::Prepare{batch_of("old"), lt(500), 1, {}});
   run(Duration::millis(10));
   EXPECT_EQ(puppet(1).count<core::msg::PrepareAck>(), 0);
-  EXPECT_EQ(replica().snapshot().estimate->ts, lt(2000));
+  EXPECT_EQ(replica().estimate()->ts, lt(2000));
 }
 
 TEST_F(ProtocolTest, EstReqPromiseBlocksOlderPrepares) {
@@ -109,7 +109,7 @@ TEST_F(ProtocolTest, EstReqPromiseBlocksOlderPrepares) {
                  core::msg::Prepare{batch_of("x"), lt(4000), 1, {}});
   run(Duration::millis(10));
   EXPECT_EQ(puppet(0).count<core::msg::PrepareAck>(), 0);
-  EXPECT_FALSE(replica().snapshot().estimate.has_value());
+  EXPECT_FALSE(replica().estimate().has_value());
 }
 
 TEST_F(ProtocolTest, StaleEstReqGetsNoReply) {
@@ -148,14 +148,14 @@ TEST_F(ProtocolTest, CommitAppliesInOrderAndFillsGaps) {
   // Deliver commit 2 first: the replica must fetch batch 1 before applying.
   puppet(0).send(replica_id(), core::msg::Commit{b2, 2});
   run(Duration::millis(10));
-  EXPECT_EQ(replica().snapshot().applied_upto, 0);
+  EXPECT_EQ(replica().applied_upto(), 0);
   EXPECT_GT(puppet(0).count<core::msg::BatchRequest>() +
                 puppet(1).count<core::msg::BatchRequest>(),
             0)
       << "replica should be requesting the missing batch 1";
   puppet(1).send(replica_id(), core::msg::BatchReply{1, b1});
   run(Duration::millis(10));
-  EXPECT_EQ(replica().snapshot().applied_upto, 2);
+  EXPECT_EQ(replica().applied_upto(), 2);
   EXPECT_EQ(replica().applied_state().fingerprint(), "two");
 }
 
@@ -167,7 +167,7 @@ TEST_F(ProtocolTest, PrepareStoresPreviousBatch) {
   puppet(0).send(replica_id(), core::msg::Prepare{b2, lt(1000), 2, b1});
   run(Duration::millis(10));
   EXPECT_TRUE(replica().batches().contains(1));
-  EXPECT_EQ(replica().snapshot().applied_upto, 1);
+  EXPECT_EQ(replica().applied_upto(), 1);
   EXPECT_EQ(puppet(0).count<core::msg::PrepareAck>(), 1);
 }
 
@@ -178,13 +178,13 @@ TEST_F(ProtocolTest, LeaseGrantOnlyAcceptedWhenMember) {
                  core::msg::LeaseGrant{0, lt(1000), {0, 1, 2, 3}});
   run(Duration::millis(10));
   EXPECT_EQ(puppet(0).count<core::msg::LeaseRequest>(), 1);
-  EXPECT_FALSE(replica().snapshot().lease.has_value());
+  EXPECT_FALSE(replica().lease().has_value());
   // Included now: lease accepted.
   puppet(0).send(replica_id(),
                  core::msg::LeaseGrant{0, lt(2000), {0, 1, 2, 3, 4}});
   run(Duration::millis(10));
-  ASSERT_TRUE(replica().snapshot().lease.has_value());
-  EXPECT_EQ(replica().snapshot().lease->issued, lt(2000));
+  ASSERT_TRUE(replica().lease().has_value());
+  EXPECT_EQ(replica().lease()->issued, lt(2000));
 }
 
 TEST_F(ProtocolTest, OlderLeaseGrantDoesNotRegress) {
@@ -192,9 +192,9 @@ TEST_F(ProtocolTest, OlderLeaseGrantDoesNotRegress) {
   run(Duration::millis(5));
   puppet(0).send(replica_id(), core::msg::LeaseGrant{2, lt(4000), {4}});
   run(Duration::millis(5));
-  ASSERT_TRUE(replica().snapshot().lease.has_value());
-  EXPECT_EQ(replica().snapshot().lease->issued, lt(5000));
-  EXPECT_EQ(replica().snapshot().lease->batch, 3);
+  ASSERT_TRUE(replica().lease().has_value());
+  EXPECT_EQ(replica().lease()->issued, lt(5000));
+  EXPECT_EQ(replica().lease()->batch, 3);
 }
 
 TEST_F(ProtocolTest, BatchRequestServedOnlyWhenKnown) {

@@ -81,8 +81,8 @@ TEST(ReplicaBasicTest, AllReplicasConvergeToSameState) {
   for (int i = 1; i < cluster.n(); ++i) {
     EXPECT_EQ(cluster.replica(i).applied_state().fingerprint(), expect)
         << "replica " << i;
-    EXPECT_EQ(cluster.replica(i).snapshot().applied_upto,
-              cluster.replica(0).snapshot().applied_upto);
+    EXPECT_EQ(cluster.replica(i).applied_upto(),
+              cluster.replica(0).applied_upto());
   }
 }
 

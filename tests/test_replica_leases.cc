@@ -157,8 +157,7 @@ TEST(LeaseTest, CrashedLeaseholderDelaysWritesAtMostOnce) {
       << "first write should wait out the victim's lease";
   EXPECT_LT(worst_later, cluster.replica_config().lease_period / 2)
       << "later writes must not wait for the crashed leaseholder again";
-  EXPECT_FALSE(
-      cluster.replica(leader).snapshot().leaseholders.contains(victim));
+  EXPECT_FALSE(cluster.replica(leader).leaseholders().contains(victim));
 }
 
 // A process dropped from the leaseholder set (here: temporarily partitioned)
@@ -175,15 +174,13 @@ TEST(LeaseTest, DroppedLeaseholderReintegrates) {
                                                cluster.n());
   cluster.submit(submitter, object::RegisterObject::write("while-cut"));
   ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(20)));
-  EXPECT_FALSE(cluster.replica(leader).snapshot().leaseholders.contains(victim));
+  EXPECT_FALSE(cluster.replica(leader).leaseholders().contains(victim));
   // Heal; the victim asks back in on the next LeaseGrant it sees.
   cluster.sim().network().set_process_isolated(ProcessId(victim), false,
                                                cluster.n());
   const RealTime deadline = cluster.sim().now() + Duration::seconds(10);
   ASSERT_TRUE(cluster.sim().run_until(
-      [&] {
-        return cluster.replica(leader).snapshot().leaseholders.contains(victim);
-      },
+      [&] { return cluster.replica(leader).leaseholders().contains(victim); },
       deadline));
   // And it can serve a fresh local read.
   cluster.run_for(cluster.replica_config().lease_renew_interval * 3);

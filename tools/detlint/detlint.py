@@ -418,7 +418,7 @@ D10_NAMED_BINDING_RE = re.compile(
 # registrations and are ignored.
 D11_CALL_RE = re.compile(
     r"(?:\bmetrics_\w*|\bmetrics\(\)|->\s*metrics\(\)|\bout\b|\bregistry\w*"
-    r"|\breg\b)\s*(?:\.|->)\s*(counter|gauge|histogram|add)\s*\(")
+    r"|\breg\b)\s*(?:\.|->)\s*(counter|histogram|add)\s*\(")
 D11_DYNAMIC_MARKERS = re.compile(r"\+|\bto_string\b|\bformat\b|\bappend\s*\(")
 
 STRING_LITERAL_RE = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"')
