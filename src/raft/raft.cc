@@ -481,7 +481,8 @@ void RaftReplica::on(ProcessId from, const msg::ClientRead& read) {
     // Degraded: lease validity is clock arithmetic this replica no longer
     // trusts; fall through to the clock-free ReadIndex round below.
     c_reads_degraded_->inc();
-  } else if (config_.read_mode == ReadMode::kLeaderLease && lease_valid() &&
+  } else if (config_.read_mode == ReadMode::kLeaderLease &&
+             term_committed() && lease_valid() &&
              last_applied_ >= commit_index_) {
     c_reads_by_lease_->inc();
     const object::Response response = model_->apply(*state_, read.op);
@@ -494,7 +495,9 @@ void RaftReplica::on(ProcessId from, const msg::ClientRead& read) {
     return;
   }
   // ReadIndex: record the commit index and confirm leadership with a fresh
-  // heartbeat round before answering.
+  // heartbeat round before answering. A leader whose term has not committed
+  // an entry yet (its no-op) may lag entries its predecessors committed, so
+  // the read also waits for that commit (Raft thesis sec. 6.4, step 1).
   ++probe_seq_;
   leader_reads_.push_back(PendingLeaderRead{from, read.id, read.op,
                                             commit_index_, probe_seq_,
@@ -534,7 +537,8 @@ void RaftReplica::maybe_answer_reads() {
         ++confirmations;
       }
     }
-    if (confirmations >= majority() && last_applied_ >= it->read_index) {
+    if (confirmations >= majority() && term_committed() &&
+        last_applied_ >= std::max(it->read_index, commit_index_)) {
       answer_read(*it);
       it = leader_reads_.erase(it);
     } else {

@@ -240,6 +240,9 @@ class RaftReplica : public sim::Process {
   void answer_read(const PendingLeaderRead& read);
   void on(ProcessId from, const msg::ReadReply& reply);
   bool lease_valid();
+  // Whether this leader's term has committed an entry (its no-op): until
+  // then commit_index_ may lag what earlier leaders committed.
+  bool term_committed() const { return term_at(commit_index_) == term_; }
 
   std::int64_t last_log_index() const {
     return static_cast<std::int64_t>(log_.size());
