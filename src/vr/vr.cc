@@ -342,7 +342,11 @@ void VrReplica::maybe_become_primary() {
 }
 
 void VrReplica::on(ProcessId from, const msg::StartView& m) {
-  if (m.view < view_) return;
+  // Already normal in this view (e.g. joined it through GetState/NewState):
+  // the primary's log from the view's start may be shorter than ours by now.
+  if (m.view < view_ || (m.view == view_ && status_ == Status::kNormal)) {
+    return;
+  }
   view_ = m.view;
   log_ = m.log;
   ids_in_log_.clear();

@@ -155,5 +155,33 @@ TEST_F(VrProtocolTest, StaleViewMessagesIgnored) {
   EXPECT_EQ(replica().log_size(), 0u);
 }
 
+// A replica that joined view v through state transfer is already normal in
+// v when the view's StartView arrives late. That log, from the view's start,
+// can be shorter than the one the replica has applied since; adopting it
+// would drop applied entries.
+TEST_F(VrProtocolTest, LateStartViewOfTheCurrentViewIsIgnored) {
+  // Puppet 2, primary of view 2, prepares op 3; the replica is behind and
+  // asks it for state.
+  puppet(2).send(replica_id(), vr::msg::Prepare{2, 3, {entry(2, 3, "c")}, 3});
+  run(Duration::millis(10));
+  ASSERT_EQ(puppet(2).count<vr::msg::GetState>(), 1);
+  puppet(2).send(replica_id(),
+                 vr::msg::NewState{2,
+                                   {entry(0, 1, "a"), entry(2, 2, "b"),
+                                    entry(2, 3, "c")},
+                                   3, 3});
+  run(Duration::millis(10));
+  ASSERT_EQ(replica().view(), 2);
+  ASSERT_EQ(replica().status(), VrReplica::Status::kNormal);
+  ASSERT_EQ(replica().commit_number(), 3);
+  // The view's StartView, sent when its log held one entry, arrives now.
+  puppet(2).send(replica_id(),
+                 vr::msg::StartView{2, {entry(0, 1, "a")}, 1, 1});
+  run(Duration::millis(10));
+  EXPECT_EQ(replica().log_size(), 3u);
+  EXPECT_EQ(replica().commit_number(), 3);
+  EXPECT_EQ(replica().applied_state().fingerprint(), "c");
+}
+
 }  // namespace
 }  // namespace cht
