@@ -41,7 +41,6 @@
 namespace cht::client {
 
 struct ClientConfig {
-  Duration delta = Duration::millis(10);
   // Per-attempt timeout before the first backoff doubling. Generous (a
   // commit takes a few delta plus fsync cost) so calm runs rarely retry.
   Duration request_timeout = Duration::millis(80);
@@ -52,7 +51,6 @@ struct ClientConfig {
 
   static ClientConfig defaults_for(Duration delta) {
     ClientConfig c;
-    c.delta = delta;
     c.request_timeout = 8 * delta;
     c.backoff_cap = 64 * delta;
     return c;

@@ -174,11 +174,6 @@ struct ConfigOverrides {
     if (metrics_enabled) config.metrics_enabled = *metrics_enabled;
   }
 
-  bool empty() const {
-    return !read_policy && !commit_gate && !commit_wait && !lease_period &&
-           !lease_renew_interval && !metrics_enabled;
-  }
-
   // The set fields as (name, value) strings, in declaration order — the
   // printable/serializable form used by tables and JSON artifacts.
   std::vector<std::pair<std::string, std::string>> entries() const {
