@@ -63,13 +63,8 @@ struct RunSpec {
   int ops = 80;
   double read_fraction = 0.5;
   // Key selection bias: probability of stopping at each successive key
-  // (geometric); 0 = uniform over `keys`.
+  // (geometric); 0 = uniform over the workload's keys.
   double key_skew = 0.5;
-  int keys = 4;
-  // Pacing between submissions (tripled before GST to bound the concurrency
-  // the checker must untangle).
-  std::int64_t op_gap_min_ms = 10;
-  std::int64_t op_gap_max_ms = 60;
   // Hard cap on concurrently open operations at live processes. Bounds the
   // concurrency window the linearizability search must untangle (it is
   // exponential in that window); mirrors real clients with bounded
@@ -81,7 +76,7 @@ struct RunSpec {
   // safety valve so one adversarial seed cannot hang a sweep.
   std::int64_t check_budget = 500000;
 
-  std::int64_t quiesce_timeout_s = 180;
+  bool operator==(const RunSpec&) const = default;
 
   Duration delta() const { return Duration::millis(delta_ms); }
   Duration epsilon() const { return Duration::millis(epsilon_ms); }

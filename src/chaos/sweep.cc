@@ -11,6 +11,7 @@
 #include "chaos/invariants.h"
 #include "chaos/nemesis.h"
 #include "chaos/workload.h"
+#include "common/parse.h"
 #include "sim/trace.h"
 
 namespace cht::chaos {
@@ -27,6 +28,14 @@ constexpr std::uint64_t kDriverStream = 0x64727631;  // "drv1"
 // final-state invariants run: a few heartbeat intervals at any sane delta,
 // so a just-healed stale leader can learn it was deposed.
 constexpr Duration kSettleSlack = Duration::seconds(2);
+
+// Pacing between submissions, in ms (tripled before GST to bound the
+// concurrency the checker must untangle).
+constexpr std::int64_t kOpGapMinMs = 10;
+constexpr std::int64_t kOpGapMaxMs = 60;
+
+// How long a healed cluster gets to complete every open operation.
+constexpr Duration kQuiesceTimeout = Duration::seconds(180);
 
 std::uint64_t fnv1a(std::uint64_t hash, const std::string& s) {
   for (unsigned char c : s) {
@@ -84,7 +93,7 @@ RunResult run(ClusterAdapter& cluster, const RunSpec& spec) {
   // The nemesis stays active for a generous bound on the workload window; it
   // reschedules itself between submissions because run_for drains the same
   // event queue.
-  nemesis.arm(Duration::millis((spec.op_gap_max_ms * 3 + 1) * spec.ops) +
+  nemesis.arm(Duration::millis((kOpGapMaxMs * 3 + 1) * spec.ops) +
               kSettleSlack);
   // Open operations at live processes. Pending ops whose submitter crashed
   // stay open forever and are excluded — they no longer add client load.
@@ -112,7 +121,7 @@ RunResult run(ClusterAdapter& cluster, const RunSpec& spec) {
          live_inflight() >= static_cast<std::size_t>(spec.max_inflight) &&
          guard < 400;
          ++guard) {
-      cluster.run_for(Duration::millis(spec.op_gap_max_ms));
+      cluster.run_for(Duration::millis(kOpGapMaxMs));
     }
     const bool pre_gst = cluster.sim().now() < cluster.sim().network().config().gst;
     // On the client path the slot's client is alive regardless of replica
@@ -124,14 +133,12 @@ RunResult run(ClusterAdapter& cluster, const RunSpec& spec) {
     // Slower pacing while the network is asynchronous bounds the concurrency
     // the checker must untangle (same discipline as the original chaos
     // suites).
-    const std::int64_t gap =
-        driver.next_in(spec.op_gap_min_ms, spec.op_gap_max_ms);
+    const std::int64_t gap = driver.next_in(kOpGapMinMs, kOpGapMaxMs);
     cluster.run_for(Duration::millis(pre_gst ? gap * 3 : gap));
   }
   const RealTime heal_time = cluster.sim().now();
   nemesis.stop_and_heal();
-  result.quiesced =
-      cluster.await_quiesce(Duration::seconds(spec.quiesce_timeout_s));
+  result.quiesced = cluster.await_quiesce(kQuiesceTimeout);
   // Let leadership settle before final-state invariants (a just-healed stale
   // leader needs a few heartbeats to learn it was deposed).
   cluster.run_for(kSettleSlack);
@@ -216,12 +223,8 @@ bool write_artifact(const std::string& path, const RunResult& result) {
       << "ops=" << s.ops << "\n"
       << "read_fraction=" << format_double(s.read_fraction) << "\n"
       << "key_skew=" << format_double(s.key_skew) << "\n"
-      << "keys=" << s.keys << "\n"
-      << "op_gap_min_ms=" << s.op_gap_min_ms << "\n"
-      << "op_gap_max_ms=" << s.op_gap_max_ms << "\n"
       << "max_inflight=" << s.max_inflight << "\n"
       << "check_budget=" << s.check_budget << "\n"
-      << "quiesce_timeout_s=" << s.quiesce_timeout_s << "\n"
       << "fingerprint=" << result.fingerprint << "\n"
       << "quiesced=" << (result.quiesced ? 1 : 0) << "\n"
       << "crashes=" << result.crashes << "\n"
@@ -242,7 +245,20 @@ std::optional<Artifact> load_artifact(const std::string& path) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
   Artifact artifact;
+  RunSpec& s = artifact.spec;
   bool saw_protocol = false;
+  bool malformed = false;
+  // Every value is parsed whole, as a command-line flag is.
+  const auto set = [&malformed]<class T>(T& field, const std::string& value) {
+    const std::optional<T> parsed = parse_number<T>(value);
+    if (parsed) field = *parsed;
+    malformed |= !parsed;
+  };
+  const auto set_bool = [&set](bool& field, const std::string& value) {
+    int parsed = 0;
+    set(parsed, value);
+    field = parsed != 0;
+  };
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -251,36 +267,42 @@ std::optional<Artifact> load_artifact(const std::string& path) {
     if (eq == std::string::npos) continue;
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
-    RunSpec& s = artifact.spec;
     if (key == "protocol") { s.protocol = value; saw_protocol = true; }
     else if (key == "profile") s.profile = value;
     else if (key == "object") s.object = value;
-    else if (key == "seed") s.seed = std::stoull(value);
-    else if (key == "n") s.n = std::stoi(value);
-    else if (key == "delta_ms") s.delta_ms = std::stoll(value);
-    else if (key == "epsilon_ms") s.epsilon_ms = std::stoll(value);
-    else if (key == "gst_ms") s.gst_ms = std::stoll(value);
-    else if (key == "pre_gst_loss") s.pre_gst_loss = std::stod(value);
-    else if (key == "sync_latency_us") s.sync_latency_us = std::stoll(value);
-    else if (key == "unsynced_key_loss") s.unsynced_key_loss = std::stod(value);
-    else if (key == "group_commit") s.group_commit = std::stoi(value) != 0;
-    else if (key == "client_path") s.client_path = std::stoi(value) != 0;
-    else if (key == "clock_guard") s.clock_guard = std::stoi(value) != 0;
-    else if (key == "ops") s.ops = std::stoi(value);
-    else if (key == "read_fraction") s.read_fraction = std::stod(value);
-    else if (key == "key_skew") s.key_skew = std::stod(value);
-    else if (key == "keys") s.keys = std::stoi(value);
-    else if (key == "op_gap_min_ms") s.op_gap_min_ms = std::stoll(value);
-    else if (key == "op_gap_max_ms") s.op_gap_max_ms = std::stoll(value);
-    else if (key == "max_inflight") s.max_inflight = std::stoi(value);
-    else if (key == "check_budget") s.check_budget = std::stoll(value);
-    else if (key == "quiesce_timeout_s") s.quiesce_timeout_s = std::stoll(value);
+    else if (key == "seed") set(s.seed, value);
+    else if (key == "n") set(s.n, value);
+    else if (key == "delta_ms") set(s.delta_ms, value);
+    else if (key == "epsilon_ms") set(s.epsilon_ms, value);
+    else if (key == "gst_ms") set(s.gst_ms, value);
+    else if (key == "pre_gst_loss") set(s.pre_gst_loss, value);
+    else if (key == "sync_latency_us") set(s.sync_latency_us, value);
+    else if (key == "unsynced_key_loss") set(s.unsynced_key_loss, value);
+    else if (key == "group_commit") set_bool(s.group_commit, value);
+    else if (key == "client_path") set_bool(s.client_path, value);
+    else if (key == "clock_guard") set_bool(s.clock_guard, value);
+    else if (key == "ops") set(s.ops, value);
+    else if (key == "read_fraction") set(s.read_fraction, value);
+    else if (key == "key_skew") set(s.key_skew, value);
+    else if (key == "max_inflight") set(s.max_inflight, value);
+    else if (key == "check_budget") set(s.check_budget, value);
     else if (key == "fingerprint") artifact.fingerprint = value;
   }
   // A file that never named a protocol or fingerprint is not an artifact;
   // replaying the default spec against an empty fingerprint would "fail"
-  // confusingly instead of reporting the real problem.
-  if (!saw_protocol || artifact.fingerprint.empty()) return std::nullopt;
+  // confusingly instead of reporting the real problem. Nor is a spec that
+  // chtread_fuzz's flags would have refused.
+  const auto known = [](const std::vector<std::string>& names,
+                        const std::string& name) {
+    return std::ranges::find(names, name) != names.end();
+  };
+  if (malformed || !saw_protocol || artifact.fingerprint.empty() ||
+      s.n < 1 || s.ops < 1 || s.max_inflight < 1 ||
+      !known(known_protocols(), s.protocol) ||
+      !known(known_profiles(), s.profile) ||
+      !known(known_objects(), s.object)) {
+    return std::nullopt;
+  }
   return artifact;
 }
 

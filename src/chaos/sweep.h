@@ -84,7 +84,11 @@ RunResult run_one(const RunSpec& spec, const AdapterHook& hook = nullptr);
 bool write_artifact(const std::string& path, const RunResult& result);
 
 // Parses an artifact back into the spec it was produced from, plus the
-// fingerprint recorded at dump time. Returns nullopt on parse failure.
+// fingerprint recorded at dump time. Keys the spec does not have are
+// ignored; missing ones take the RunSpec defaults. Returns nullopt if the
+// file names no protocol or fingerprint, if a value is not wholly a number,
+// or if the spec is one chtread_fuzz's flags refuse (n, ops or
+// max_inflight below 1, or an unknown protocol, profile or object).
 struct Artifact {
   RunSpec spec;
   std::string fingerprint;

@@ -27,10 +27,12 @@ class WorkloadGen {
  private:
   std::string pick_key();
 
+  // Keys k0..k3: few enough that operations contend.
+  static constexpr int kKeys = 4;
+
   std::string object_;
   double read_fraction_;
   double key_skew_;
-  int keys_;
   Rng rng_;
   std::int64_t seq_ = 0;
 };

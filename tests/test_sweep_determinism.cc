@@ -154,11 +154,13 @@ TEST(SweepDeterminismTest, SweepMatchesSerialRunOne) {
 TEST(SweepDeterminismTest, MissingArtifactKeysTakeRunSpecDefaults) {
   // An artifact replays what it names; every key it leaves out — the client
   // path and the clock guard included — takes the RunSpec default, just as
-  // a sweep of that spec would have run it.
+  // a sweep of that spec would have run it. Keys the spec does not have,
+  // such as those of fields since made constants, are ignored.
   const std::string path = ::testing::TempDir() + "sweep_det_sparse.txt";
   {
     std::ofstream out(path);
-    out << "protocol=raft\nseed=3\nfingerprint=0123456789abcdef\n";
+    out << "protocol=raft\nseed=3\nfingerprint=0123456789abcdef\n"
+        << "keys=4\nop_gap_max_ms=60\nquiesce_timeout_s=180\n";
   }
   const auto artifact = chaos::load_artifact(path);
   ASSERT_TRUE(artifact.has_value());
@@ -169,6 +171,57 @@ TEST(SweepDeterminismTest, MissingArtifactKeysTakeRunSpecDefaults) {
   EXPECT_EQ(artifact->spec.clock_guard, defaults.clock_guard);
   EXPECT_EQ(artifact->spec.ops, defaults.ops);
   EXPECT_EQ(artifact->fingerprint, "0123456789abcdef");
+}
+
+TEST(SweepDeterminismTest, ArtifactRoundTripsEveryField) {
+  // Every field off its default, so a field the writer or the loader
+  // dropped would come back as its default and differ.
+  chaos::RunResult result;
+  chaos::RunSpec& s = result.spec;
+  s.protocol = "vr";
+  s.profile = "crash-loop";
+  s.object = "bank";
+  s.seed = 12345678901234;
+  s.n = 7;
+  s.delta_ms = 12;
+  s.epsilon_ms = 3;
+  s.gst_ms = 2500;
+  s.pre_gst_loss = 0.3;
+  s.sync_latency_us = 1234;
+  s.unsynced_key_loss = 0.1;
+  s.group_commit = false;
+  s.client_path = false;
+  s.clock_guard = false;
+  s.ops = 17;
+  s.read_fraction = 0.7;
+  s.key_skew = 0.25;
+  s.max_inflight = 3;
+  s.check_budget = 999;
+  result.fingerprint = "fedcba9876543210";
+  const std::string path = ::testing::TempDir() + "sweep_det_roundtrip.txt";
+  ASSERT_TRUE(chaos::write_artifact(path, result));
+  const auto artifact = chaos::load_artifact(path);
+  ASSERT_TRUE(artifact.has_value());
+  EXPECT_EQ(artifact->spec, s);
+  EXPECT_EQ(artifact->fingerprint, result.fingerprint);
+}
+
+TEST(SweepDeterminismTest, MalformedArtifactsAreRefused) {
+  // What chtread_fuzz's flags refuse an artifact may not carry either: a
+  // value that is not wholly a number, one below the flag's minimum, or an
+  // unknown name. Each is refused rather than replayed as something else
+  // or aborted on.
+  for (const std::string line :
+       {"seed=abc", "seed=1x", "seed=", "n=0", "ops=0", "max_inflight=0",
+        "pre_gst_loss=0.1.2", "client_path=yes", "protocol=paxos",
+        "profile=storm", "object=tree"}) {
+    const std::string path = ::testing::TempDir() + "sweep_det_refused.txt";
+    {
+      std::ofstream out(path);
+      out << "protocol=raft\nfingerprint=0123456789abcdef\n" << line << "\n";
+    }
+    EXPECT_FALSE(chaos::load_artifact(path).has_value()) << line;
+  }
 }
 
 }  // namespace

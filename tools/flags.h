@@ -4,12 +4,13 @@
 // else is a usage error that names the flag and exits with status 2.
 #pragma once
 
-#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
-#include <system_error>
+
+#include "common/parse.h"
 
 namespace cht::cli {
 
@@ -27,19 +28,17 @@ inline bool parse_flag(const std::string& arg, const std::string& name,
 template <class T>
 T number(const std::string& name, const std::string& value,
          T min = std::numeric_limits<T>::lowest()) {
-  T parsed{};
-  const char* const end = value.data() + value.size();
-  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
-  if (error != std::errc() || stop != end) {
+  const std::optional<T> parsed = parse_number<T>(value);
+  if (!parsed) {
     std::cerr << "--" << name << " takes a number (got '" << value << "')\n";
     std::exit(2);
   }
-  if (parsed < min) {
-    std::cerr << "--" << name << " must be >= " << min << " (got " << parsed
+  if (*parsed < min) {
+    std::cerr << "--" << name << " must be >= " << min << " (got " << *parsed
               << ")\n";
     std::exit(2);
   }
-  return parsed;
+  return *parsed;
 }
 
 }  // namespace cht::cli
