@@ -117,6 +117,26 @@ TEST(OmegaTest, SurvivesChainOfCrashes) {
   }
 }
 
+// Once converged, only the leader heartbeats and only its followers grant
+// support: an idle group of n sends n-1 of each per interval, where an
+// all-to-all detector sends n(n-1) heartbeats.
+TEST(OmegaTest, ConvergedGroupSendsNMinusOneOfEachPerInterval) {
+  constexpr int kN = 5;
+  constexpr int kIntervals = 20;
+  LeaderFixture f(kN);
+  const auto& stats = f.sim.network().stats();
+  // Every timer fires on a 5 ms grid from zero; start off the grid so the
+  // window holds exactly kIntervals firings of each.
+  f.sim.run_until(RealTime::zero() + Duration::micros(302'500));
+  const std::int64_t hb = stats.sent_of(leader::Heartbeat::kType);
+  const std::int64_t support = stats.sent_of(leader::SupportGrant::kType);
+  f.sim.run_until(f.sim.now() + kIntervals * Duration::millis(5));
+  EXPECT_EQ(stats.sent_of(leader::Heartbeat::kType) - hb,
+            (kN - 1) * kIntervals);
+  EXPECT_EQ(stats.sent_of(leader::SupportGrant::kType) - support,
+            (kN - 1) * kIntervals);
+}
+
 TEST(EnhancedLeaderTest, EventualLeaderPassesAmLeader) {
   LeaderFixture f(5);
   f.sim.run_until(RealTime::zero() + Duration::millis(300));
