@@ -210,7 +210,8 @@ int main(int argc, char** argv) {
         sweep_options.artifact_dir = options.artifact_dir;
         if (options.verbose) {
           sweep_options.on_result = [](const chaos::RunResult& r) {
-            std::cout << "  seed " << r.spec.seed << ": "
+            std::cout << "  " << r.spec.protocol << " " << r.spec.profile
+                      << " " << r.spec.object << " seed " << r.spec.seed << ": "
                       << (r.ok() ? "ok" : "FAIL") << "  ops "
                       << r.completed << "/" << r.submitted << "  leaders "
                       << r.leadership_changes << "  fp " << r.fingerprint
