@@ -2,11 +2,14 @@
 //
 // All protocol timing is expressed in terms of the model parameters:
 // delta (the known post-GST bound on message delay, measured on local
-// clocks) and epsilon (the known bound on clock skew). The defaults follow
-// the relationships the paper's analysis needs:
+// clocks) and epsilon (the known bound on clock skew). Each replica runs one
+// tick every delta (Omega, the ELS renewal, the leader check and batch gap
+// fill); the defaults follow the relationships the paper's analysis needs:
 //   - LeasePeriod >> delta so leases are usually valid;
 //   - lease renewals more frequent than LeasePeriod so a stable leader's
 //     leases never lapse at connected processes;
+//   - Omega timeout > tick + delta + epsilon and ELS support duration >
+//     2 x tick + delta, so a stable leader is never suspected or unsupported;
 //   - retry/resend intervals of a few delta to ride out pre-GST loss.
 #pragma once
 
@@ -75,12 +78,10 @@ struct Config {
 
   Duration lease_period;            // read-lease validity
   Duration lease_renew_interval;    // leader renewal cadence
-  Duration leader_check_interval;   // thread-2 "am I leader?" poll cadence
   Duration steady_tick;             // leader steady-state loop cadence
   Duration estreq_resend;           // EstReq resend while collecting
   Duration prepare_resend;          // Prepare resend while awaiting acks
   Duration rmw_retry;               // client re-submit of a pending RMW
-  Duration anti_entropy_interval;   // gap-fill poll (not read-triggered)
   Duration commit_rebroadcast;      // lazy rebroadcast of last commit
 
   leader::OmegaConfig omega;
@@ -102,16 +103,12 @@ struct Config {
     c.epsilon = epsilon;
     c.lease_period = 12 * delta;
     c.lease_renew_interval = 3 * delta;
-    c.leader_check_interval = delta / 2;
     c.steady_tick = delta / 4;
     c.estreq_resend = 2 * delta;
     c.prepare_resend = 2 * delta;
     c.rmw_retry = 4 * delta;
-    c.anti_entropy_interval = 2 * delta;
     c.commit_rebroadcast = 8 * delta;
-    c.omega.heartbeat_interval = delta;
     c.omega.timeout = 4 * delta + epsilon;
-    c.els.support_interval = delta;
     c.els.support_duration = 8 * delta;
     c.els.history_horizon = 100 * delta;
     c.clock_guard = ClockGuardConfig::defaults_for(delta, epsilon);

@@ -63,9 +63,7 @@ void Replica::on_start() {
   state_ = model_->make_initial_state();
   seed_op_sequences();
   omega_.start();
-  els_.start();
-  leader_check_tick();
-  anti_entropy_tick();
+  tick();
 }
 
 void Replica::on_restart() {
@@ -76,8 +74,7 @@ void Replica::on_restart() {
   recover_from_storage();
   omega_.start();
   els_.recover();  // resumes the persisted support counter (EL1 across crash)
-  leader_check_tick();
-  anti_entropy_tick();
+  tick();
 }
 
 void Replica::seed_op_sequences() {
@@ -150,7 +147,7 @@ void Replica::submit_rmw_as(const OperationId& id, object::Operation op,
 void Replica::rmw_send(const OperationId& id) {
   auto it = pending_rmw_.find(id);
   if (it == pending_rmw_.end()) return;  // already completed
-  const ProcessId leader = els_.believed_leader();
+  const ProcessId leader = omega_.leader();
   const msg::RmwRequest request{id, it->second.op};
   if (leader == this->id()) {
     on(this->id(), request);
@@ -350,13 +347,20 @@ void Replica::submit_read_degraded(object::Operation op, Callback callback,
 // Thread 2: leadership
 // ===========================================================================
 
-void Replica::leader_check_tick() {
+void Replica::tick() {
+  omega_.tick();
+  els_.tick();
+  // Line 20's loop: a follower polls AmLeader(now, now); a new leader still
+  // fetching the batches below k* re-checks its reign and whether they are
+  // all in (they may have come with a Commit or a Prepare).
   if (phase_ == Phase::kFollower) {
     const LocalTime t = now_local();
     if (els_.am_leader(t, t)) become_leader(t);
+  } else if (phase_ == Phase::kFetching && check_still_leader()) {
+    maybe_finish_fetching();
   }
-  leader_check_timer_ = schedule_after(config_.leader_check_interval,
-                                       [this] { leader_check_tick(); });
+  request_missing_batches();
+  schedule_after(config_.delta, [this] { tick(); });
 }
 
 bool Replica::is_leader() {
@@ -399,7 +403,6 @@ void Replica::abdicate() {
   span_doops_total_.cancel();
   phase_ = Phase::kFollower;
   estreq_timer_.cancel();
-  fetch_timer_.cancel();
   steady_timer_.cancel();
   if (doops_.has_value()) {
     doops_->resend_timer.cancel();
@@ -452,26 +455,14 @@ void Replica::maybe_finish_collecting() {
     }
   }
   phase_ = Phase::kFetching;
-  fetch_tick();
-}
-
-// --- Initialization: FindMissingBatches(k*-2) (line 33) -------------------
-
-void Replica::fetch_tick() {
-  if (phase_ != Phase::kFetching) return;
-  if (!check_still_leader()) return;
-  maybe_finish_fetching();
-  if (phase_ != Phase::kFetching) return;
-  // I3 guarantees each batch < k* is held by a majority, hence by at least
-  // one correct peer.
-  const BatchNumber upto = chosen_.has_value() ? chosen_->k - 1 : 0;
-  for (BatchNumber j = 1; j <= upto; ++j) {
-    if (!batches_.contains(j)) {
-      broadcast(msg::BatchRequest{j});
-    }
+  // FindMissingBatches(k*-2) (line 33) is the ordinary gap fill: every batch
+  // below k* is committed (I2), and I3 puts each at a majority, hence at
+  // least one correct peer. The tick repeats the requests until all are in.
+  if (chosen_.has_value()) {
+    max_known_batch_ = std::max(max_known_batch_, chosen_->k - 1);
   }
-  fetch_timer_ =
-      schedule_after(config_.anti_entropy_interval, [this] { fetch_tick(); });
+  request_missing_batches();
+  maybe_finish_fetching();
 }
 
 void Replica::maybe_finish_fetching() {
@@ -480,7 +471,6 @@ void Replica::maybe_finish_fetching() {
   for (BatchNumber j = 1; j <= upto; ++j) {
     if (!batches_.contains(j)) return;
   }
-  fetch_timer_.cancel();
   // ExecuteUpToBatch(k*-1), picking up from the current applied state
   // (line 34).
   apply_ready();
@@ -803,7 +793,7 @@ void Replica::on(ProcessId from, const msg::RmwRequest& request) {
 void Replica::forward_read_send(const OperationId& id) {
   auto it = forwarded_reads_.find(id);
   if (it == forwarded_reads_.end()) return;
-  const ProcessId leader = els_.believed_leader();
+  const ProcessId leader = omega_.leader();
   const msg::ReadRequest request{id, it->second.op};
   if (leader == this->id()) {
     on(this->id(), request);
@@ -997,34 +987,21 @@ void Replica::apply_ready() {
   if (advanced) try_advance_reads();
 }
 
-BatchNumber Replica::fetch_target() const {
-  BatchNumber target = max_known_batch_;
-  if (lease_.has_value()) target = std::max(target, lease_->batch);
-  for (const PendingRead& read : pending_reads_) {
-    if (read.khat.has_value()) target = std::max(target, *read.khat);
-  }
-  return target;
-}
-
+// Gap fill, up to 64 requests at a time, for the missing batches up to
+// max_known_batch_: the highest batch known to be committed (from a Commit,
+// a Prepare's Batch[j-1], a LeaseGrant's batch number or a new leader's
+// k*-1). Reads never drive it: a read blocked on a pending batch waits for
+// that batch's Commit, the next Prepare or LeaseGrant, or the leader's lazy
+// Commit rebroadcast, so reads stay message-free.
 void Replica::request_missing_batches() {
-  const BatchNumber target = fetch_target();
   int outstanding = 0;
-  for (BatchNumber j = applied_upto_ + 1; j <= target && outstanding < 64;
-       ++j) {
+  for (BatchNumber j = applied_upto_ + 1;
+       j <= max_known_batch_ && outstanding < 64; ++j) {
     if (!batches_.contains(j)) {
       broadcast(msg::BatchRequest{j});
       ++outstanding;
     }
   }
-}
-
-void Replica::anti_entropy_tick() {
-  // Fixed-rate gap filling keeps reads message-free: a read waiting on
-  // batches <= k-hat is served by this timer (and by commit-path triggers),
-  // whose frequency does not depend on the number of reads.
-  if (applied_upto_ < fetch_target()) request_missing_batches();
-  anti_entropy_timer_ = schedule_after(config_.anti_entropy_interval,
-                                       [this] { anti_entropy_tick(); });
 }
 
 }  // namespace cht::core

@@ -4,16 +4,20 @@
 // process as three parallel threads; in this event-driven runtime they map
 // to:
 //   Thread 1 (client operations)  -> submit_rmw / submit_read + retry timers
-//   Thread 2 (leader loop)        -> leader_check/steady timers driving a
-//                                    state machine (Collecting -> Fetching ->
-//                                    initial DoOps -> Steady, DoOps nested)
+//   Thread 2 (leader loop)        -> the per-process tick (every delta: Omega,
+//                                    the ELS renewal, the AmLeader poll and
+//                                    gap fill) plus the leader's steady timer,
+//                                    driving a state machine (Collecting ->
+//                                    Fetching -> initial DoOps -> Steady,
+//                                    DoOps nested)
 //   Thread 3 (message handling)   -> on_message dispatch
 //
 // Black code (consensus for RMW operations): EstReq/EstReply, Prepare/
 // PrepareAck, Commit, batch fetch. Red code (read leases): LeaseGrant,
 // LeaseRequest, and the local read path. Reads never send messages; batch
-// gap-filling runs on a fixed-rate anti-entropy timer plus commit-path
-// triggers, so the message count is independent of the number of reads.
+// gap-filling runs on the tick plus commit-path triggers and asks only for
+// batches known to be committed, so the message count is independent of
+// the number of reads.
 //
 // Read correctness note (why answering from the *current* applied state is
 // right): a read computes k-hat from its lease and the conflicting pending
@@ -75,7 +79,7 @@ class Replica : public sim::Process {
   static constexpr bool kAnyReplicaServes = true;
   client::ReplicaGateway<Replica>& client_gateway() { return gateway_; }
   // Where this replica believes the leader is, for client Redirects.
-  int leader_index() { return els_.believed_leader().index(); }
+  int leader_index() { return omega_.leader().index(); }
 
   // --- sim::Process ---------------------------------------------------------
   void on_start() override;
@@ -154,8 +158,9 @@ class Replica : public sim::Process {
     bool counted_blocked = false;
   };
 
-  // Thread-2 driving.
-  void leader_check_tick();
+  // Thread-2 driving: Omega's and the ELS's interval work, the AmLeader
+  // poll (line 20) and gap fill, once every delta.
+  void tick();
   void become_leader(LocalTime t);
   void abdicate();
   bool check_still_leader();  // AmLeader(leader_time_, now); abdicates if not
@@ -164,7 +169,6 @@ class Replica : public sim::Process {
   void send_est_reqs();
   void on(ProcessId from, const msg::EstReply& reply);
   void maybe_finish_collecting();
-  void fetch_tick();
   void maybe_finish_fetching();
   void begin_initial_commit();
 
@@ -218,9 +222,7 @@ class Replica : public sim::Process {
   void apply_ready();
   void complete_rmw(const OperationId& id, const object::Response& response);
   void rmw_send(const OperationId& id);
-  void anti_entropy_tick();
   void request_missing_batches();
-  BatchNumber fetch_target() const;
   void try_advance_reads();
   bool try_advance_read(PendingRead& read);
   // The k-hat wait of a blocked read: invocation to completion, real time.
@@ -319,11 +321,8 @@ class Replica : public sim::Process {
   BatchNumber leader_next_batch_ = 1;
   std::map<OperationId, object::Operation> next_ops_;
   std::optional<DoOpsState> doops_;
-  sim::EventHandle leader_check_timer_;
   sim::EventHandle estreq_timer_;
-  sim::EventHandle fetch_timer_;
   sim::EventHandle steady_timer_;
-  sim::EventHandle anti_entropy_timer_;
   RealTime last_commit_rebroadcast_ = RealTime::zero();
 };
 

@@ -14,8 +14,6 @@ constexpr const char* kCounterKey = "els.counter";
 constexpr Duration kTickAfter = Duration::micros(1);
 }  // namespace
 
-void EnhancedLeaderService::start() { support_tick(); }
-
 void EnhancedLeaderService::persist_counter() {
   host_.storage().write(kCounterKey, std::to_string(change_counter_));
 }
@@ -31,10 +29,9 @@ void EnhancedLeaderService::recover() {
   min_grant_start_ =
       host_.now_local() + config_.support_duration + kTickAfter;
   last_grant_end_ = LocalTime::min();
-  support_tick();
 }
 
-void EnhancedLeaderService::support_tick() {
+void EnhancedLeaderService::tick() {
   const ProcessId current = leader_fn_();
   const LocalTime now = host_.now_local();
 
@@ -68,7 +65,6 @@ void EnhancedLeaderService::support_tick() {
     // Renewals reuse an already-durable counter and need no sync.
     deliver_grant(target, grant);
   }
-  host_.schedule_after(config_.support_interval, [this] { support_tick(); });
 }
 
 void EnhancedLeaderService::deliver_grant(ProcessId target,

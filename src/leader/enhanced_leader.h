@@ -25,6 +25,10 @@
 // counter certifies that q supported p continuously between the two covers
 // (q increments c on every observed change, so an unchanged c means q never
 // supported anyone else in between).
+//
+// Like the Omega detector, this component owns no timer: the host calls
+// tick() once per interval (the poll-and-renew step) and offers every
+// delivery to handle_message().
 #pragma once
 
 #include <cstdint>
@@ -41,10 +45,8 @@
 namespace cht::leader {
 
 struct EnhancedLeaderConfig {
-  // How often each process re-polls leader() and renews its support.
-  Duration support_interval = Duration::millis(5);
-  // Length of each granted support interval. Must comfortably exceed
-  // support_interval + delta so that a stable leader's support never lapses.
+  // Length of each granted support interval. Must exceed 2 x the host's
+  // tick interval + delta so that a stable leader's support never lapses.
   Duration support_duration = Duration::millis(40);
   // Recorded support intervals ending further than this before `now` are
   // pruned (they can no longer cover any queried time of interest).
@@ -66,10 +68,12 @@ class EnhancedLeaderService {
                         EnhancedLeaderConfig config)
       : host_(host), leader_fn_(std::move(leader_fn)), config_(config) {}
 
-  void start();
+  // One interval's work: polls leader() and renews this process's support
+  // (bumping the change counter if the leader changed).
+  void tick();
 
   // Restores the granting-side invariants from stable storage after a crash
-  // and restart, then starts the service. The change counter is persisted
+  // and restart, before the first tick(). The change counter is persisted
   // (synced) before any grant uses it, so resuming from the stored value
   // guarantees fresh counters; the first post-restart grant is additionally
   // pushed past every interval the previous incarnation could have granted
@@ -80,9 +84,6 @@ class EnhancedLeaderService {
   // True iff this process has been the leader continuously at all local
   // times in [t1, t2] (as certified by a majority of supporters).
   bool am_leader(LocalTime t1, LocalTime t2);
-
-  // The raw leader() belief (where non-leaders send their RMW requests).
-  ProcessId believed_leader() { return leader_fn_(); }
 
   using Inbox = sim::Inbox<SupportGrant>;
   // Returns true iff the message belonged to this component.
@@ -99,7 +100,6 @@ class EnhancedLeaderService {
   // Supports received from one process, keyed by counter.
   using SupporterRecord = std::map<std::int64_t, std::vector<Interval>>;
 
-  void support_tick();
   void persist_counter();
   void deliver_grant(ProcessId target, const SupportGrant& grant);
   // Records support received from `from` (the only inbox handler).

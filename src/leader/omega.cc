@@ -12,22 +12,18 @@ constexpr int kVouchable = 64;
 void OmegaDetector::start() {
   last_heard_.assign(host_.cluster_size(), LocalTime::min());
   last_vouched_.assign(host_.cluster_size(), LocalTime::min());
-  heartbeat_tick();
 }
 
-void OmegaDetector::heartbeat_tick() {
-  if (leader() == host_.id()) {
-    const LocalTime now = host_.now_local();
-    Heartbeat heartbeat;
-    for (int i = 0; i < std::min(host_.cluster_size(), kVouchable); ++i) {
-      if (i != host_.id().index() && heard_directly(i, now)) {
-        heartbeat.heard |= std::uint64_t{1} << i;
-      }
+void OmegaDetector::tick() {
+  if (leader() != host_.id()) return;
+  const LocalTime now = host_.now_local();
+  Heartbeat heartbeat;
+  for (int i = 0; i < std::min(host_.cluster_size(), kVouchable); ++i) {
+    if (i != host_.id().index() && heard_directly(i, now)) {
+      heartbeat.heard |= std::uint64_t{1} << i;
     }
-    host_.broadcast(heartbeat);
   }
-  host_.schedule_after(config_.heartbeat_interval,
-                       [this] { heartbeat_tick(); });
+  host_.broadcast(heartbeat);
 }
 
 bool OmegaDetector::handle_message(const sim::Message& message) {

@@ -25,11 +25,12 @@
 // GST every evidence of a crashed process expires, the smallest-id correct
 // process l finds no smaller one alive and broadcasts, and every correct
 // process then hears l every interval, satisfying Omega. The timeout must
-// exceed heartbeat_interval + delta + epsilon.
+// exceed the host's tick interval + delta + epsilon.
 //
-// This is a *component*: it is hosted by a sim::Process, sends its own
-// message type (Heartbeat, "omega.hb") and owns its timers. The host
-// offers every delivery to handle_message() before its own inbox.
+// This is a *component*: it is hosted by a sim::Process and sends its own
+// message type (Heartbeat, "omega.hb"), but owns no timer. The host calls
+// tick() once per interval and offers every delivery to handle_message()
+// before its own inbox.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,6 @@ struct Heartbeat {
 };
 
 struct OmegaConfig {
-  Duration heartbeat_interval = Duration::millis(5);
   Duration timeout = Duration::millis(25);
 };
 
@@ -61,7 +61,12 @@ class OmegaDetector {
   OmegaDetector(sim::Process& host, OmegaConfig config)
       : host_(host), config_(config) {}
 
+  // Sizes the evidence tables; the host calls it from on_start/on_restart,
+  // before the first tick().
   void start();
+
+  // One interval's work: heartbeats if leader() is this process.
+  void tick();
 
   // The current leader belief. Never returns an invalid id.
   ProcessId leader();
@@ -74,7 +79,6 @@ class OmegaDetector {
  private:
   friend Inbox;
   void on(ProcessId from, const Heartbeat& heartbeat);
-  void heartbeat_tick();
   bool heard_directly(int i, LocalTime now) const;
 
   sim::Process& host_;

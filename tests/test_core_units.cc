@@ -55,8 +55,9 @@ TEST(ConfigTest, DefaultsScaleWithDelta) {
   // Relationships the protocol's liveness depends on.
   for (const auto& c : {small, large}) {
     EXPECT_LT(c.lease_renew_interval, c.lease_period);
-    EXPECT_GT(c.els.support_duration, 2 * c.els.support_interval + c.delta);
-    EXPECT_GT(c.omega.timeout, c.omega.heartbeat_interval + c.delta);
+    // Against the replica's tick, which runs every delta.
+    EXPECT_GT(c.els.support_duration, 2 * c.delta + c.delta);
+    EXPECT_GT(c.omega.timeout, c.delta + c.delta + c.epsilon);
     EXPECT_EQ(c.commit_gate, CommitGate::kLeaseholders);
     EXPECT_EQ(c.read_policy, ReadPolicy::kLocalLease);
     EXPECT_EQ(c.commit_wait, Duration::zero());

@@ -202,14 +202,24 @@ TEST(CrashRecoveryTest, VrRestartDuringViewChange) {
 
 // --- ELS counter persistence -----------------------------------------------
 
-// Hosts one enhanced-leader service whose believed leader the test controls;
-// a fresh incarnation recovers the persisted support counter on restart.
+// Hosts one enhanced-leader service whose believed leader the test controls,
+// ticking it every kTick; a fresh incarnation recovers the persisted support
+// counter on restart.
 class ElsRecoveryHost : public sim::Process {
  public:
+  static constexpr Duration kTick = Duration::millis(5);
+
   ElsRecoveryHost(leader::EnhancedLeaderConfig config, ProcessId believed)
       : els_(*this, [this] { return believed_; }, config), believed_(believed) {}
-  void on_start() override { els_.start(); }
-  void on_restart() override { els_.recover(); }
+  void on_start() override { tick(); }
+  void on_restart() override {
+    els_.recover();
+    tick();
+  }
+  void tick() {
+    els_.tick();
+    schedule_after(kTick, [this] { tick(); });
+  }
   void on_message(const sim::Message& message) override {
     els_.handle_message(message);
   }
@@ -247,7 +257,6 @@ TEST(CrashRecoveryTest, ElsCounterBumpLostInCrashNeverRegressesAnEpoch) {
   config.storage.unsynced_key_loss = 1.0;
 
   leader::EnhancedLeaderConfig els_config;
-  els_config.support_interval = Duration::millis(5);
   els_config.support_duration = Duration::millis(40);
 
   sim::Simulation sim(config);

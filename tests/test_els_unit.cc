@@ -17,14 +17,20 @@ using leader::EnhancedLeaderConfig;
 using leader::EnhancedLeaderService;
 using leader::SupportGrant;
 
-// Hosts a service whose leader() belief is controlled by the test; peers
-// are inert message sinks we use as support senders.
+// Hosts a service whose leader() belief is controlled by the test, ticking
+// it every kTick; peers are inert message sinks we use as support senders.
 class ElsHost : public sim::Process {
  public:
+  static constexpr Duration kTick = Duration::millis(5);
+
   explicit ElsHost(EnhancedLeaderConfig config)
       : els_(*this, [this] { return believed_; }, config) {}
 
-  void on_start() override { els_.start(); }
+  void on_start() override { tick(); }
+  void tick() {
+    els_.tick();
+    schedule_after(kTick, [this] { tick(); });
+  }
   void on_message(const sim::Message& message) override {
     els_.handle_message(message);
   }
@@ -49,7 +55,6 @@ class ElsUnitTest : public ::testing::Test {
  protected:
   ElsUnitTest() : sim_(make_config()) {
     EnhancedLeaderConfig config;
-    config.support_interval = Duration::millis(5);
     config.support_duration = Duration::millis(40);
     // Process 0: the host under test. 1-4: sinks used as supporters.
     sim_.add_process(std::make_unique<ElsHost>(config));

@@ -17,17 +17,25 @@ using leader::EnhancedLeaderService;
 using leader::OmegaConfig;
 using leader::OmegaDetector;
 
-// Hosts an OmegaDetector and an EnhancedLeaderService, recording every
-// interval for which am_leader returned true (for EL1 checking).
+// Hosts an OmegaDetector and an EnhancedLeaderService, ticking both every
+// kTick and recording every interval for which am_leader returned true (for
+// EL1 checking).
 class LeaderHost : public sim::Process {
  public:
+  static constexpr Duration kTick = Duration::millis(5);
+
   LeaderHost(OmegaConfig omega_config, EnhancedLeaderConfig els_config)
       : omega_(*this, omega_config),
         els_(*this, [this] { return omega_.leader(); }, els_config) {}
 
   void on_start() override {
     omega_.start();
-    els_.start();
+    tick();
+  }
+  void tick() {
+    omega_.tick();
+    els_.tick();
+    schedule_after(kTick, [this] { tick(); });
   }
   void on_message(const sim::Message& message) override {
     if (omega_.handle_message(message)) return;
@@ -65,10 +73,8 @@ struct LeaderFixture {
                          RealTime gst = RealTime::zero())
       : sim(make_config(seed, gst)) {
     OmegaConfig omega;
-    omega.heartbeat_interval = Duration::millis(5);
     omega.timeout = Duration::millis(25);
     EnhancedLeaderConfig els;
-    els.support_interval = Duration::millis(5);
     els.support_duration = Duration::millis(40);
     for (int i = 0; i < n; ++i) {
       sim.add_process(std::make_unique<LeaderHost>(omega, els));
@@ -130,7 +136,7 @@ TEST(OmegaTest, ConvergedGroupSendsNMinusOneOfEachPerInterval) {
   f.sim.run_until(RealTime::zero() + Duration::micros(302'500));
   const std::int64_t hb = stats.sent_of(leader::Heartbeat::kType);
   const std::int64_t support = stats.sent_of(leader::SupportGrant::kType);
-  f.sim.run_until(f.sim.now() + kIntervals * Duration::millis(5));
+  f.sim.run_until(f.sim.now() + kIntervals * LeaderHost::kTick);
   EXPECT_EQ(stats.sent_of(leader::Heartbeat::kType) - hb,
             (kN - 1) * kIntervals);
   EXPECT_EQ(stats.sent_of(leader::SupportGrant::kType) - support,

@@ -19,10 +19,20 @@ namespace {
 using leader::OmegaConfig;
 using leader::OmegaDetector;
 
+// Ticks the detector every kTick, as a replica does every delta.
 class OmegaHost : public sim::Process {
  public:
+  static constexpr Duration kTick = Duration::millis(5);
+
   explicit OmegaHost(OmegaConfig config) : omega_(*this, config) {}
-  void on_start() override { omega_.start(); }
+  void on_start() override {
+    omega_.start();
+    tick();
+  }
+  void tick() {
+    omega_.tick();
+    schedule_after(kTick, [this] { tick(); });
+  }
   void on_message(const sim::Message& message) override {
     omega_.handle_message(message);
   }
@@ -41,7 +51,6 @@ class OmegaUnitTest : public ::testing::Test {
  protected:
   OmegaUnitTest() : sim_(make_config()) {
     OmegaConfig config;
-    config.heartbeat_interval = Duration::millis(5);
     config.timeout = Duration::millis(25);
     // Host is process 2 (so ids 0 and 1 are both "smaller"); process 3 is
     // a client, outside the cluster.

@@ -2,6 +2,7 @@
 // (post-GST from the start) network.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "checker/linearizability.h"
@@ -36,6 +37,31 @@ TEST(ReplicaBasicTest, ElectsASteadyLeader) {
     if (cluster.replica(i).is_leader()) ++count;
   }
   EXPECT_EQ(count, 1);
+}
+
+// One timer per replica per delta: the tick runs Omega, the ELS renewal,
+// the leader check and gap fill. Once a cluster is idle and converged, the
+// only other timer is the steady leader's delta/4 loop.
+TEST(ReplicaBasicTest, IdleClusterFiresOneTickPerReplicaPerDelta) {
+  Cluster cluster(small_cluster(), std::make_shared<object::RegisterObject>());
+  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  sim::Simulation& sim = cluster.sim();
+  // Start off the timer grid, well after the reign's NoOp has committed.
+  sim.run_until(RealTime::zero() + Duration::micros(2'002'500));
+  const Duration delta = cluster.replica_config().delta;
+  constexpr int kIntervals = 100;
+  const RealTime end = sim.now() + kIntervals * delta;
+  const auto& stats = sim.network().stats();
+  const std::int64_t delivered = stats.delivered;
+  std::int64_t events = 0;
+  while (sim.queue().next_event_time() <= end) {
+    sim.step();
+    ++events;
+  }
+  const std::int64_t timers = events - (stats.delivered - delivered);
+  EXPECT_EQ(timers, kIntervals * (cluster.n() + 4))
+      << "expected one tick per replica and four steady-loop firings per "
+         "delta";
 }
 
 TEST(ReplicaBasicTest, CommitsAnRmwAndRespondsOnce) {

@@ -230,10 +230,10 @@ TEST(LeaseTest, ReadsBlockWhileLeaderlessThenRecover) {
 
 // Reads remain message-free even when they block on conflicting writes
 // (paper S1: the number of messages does not depend on the number of
-// reads). Two runs of one seed over windows of equal length, one with 40
-// reads and one with 1000 at the same instants, must send exactly the same
-// messages. (A blocked read does move the follower's fixed-rate gap fill to
-// its k-hat, so a run with no reads at all is not the baseline.)
+// reads). Three runs of one seed over windows of equal length, with no
+// reads, 40 reads and 1000 reads at the same instants, must send exactly the
+// same messages: gap fill asks only for batches known to be committed, never
+// for the pending batch a blocked read waits on.
 TEST(LeaseTest, BlockedReadsSendNoMessages) {
   struct Window {
     std::int64_t sent = 0;
@@ -264,11 +264,14 @@ TEST(LeaseTest, BlockedReadsSendNoMessages) {
     return Window{stats.sent - sent_before,
                   cluster.replica(follower).metrics().value("reads_blocked")};
   };
+  const Window with_no_reads = measure(0);
   const Window with_forty_reads = measure(1);
   const Window with_thousand_reads = measure(25);
   EXPECT_GT(with_thousand_reads.reads_blocked, 0)
       << "test needs some blocked reads";
-  EXPECT_EQ(with_thousand_reads.sent, with_forty_reads.sent)
+  EXPECT_EQ(with_forty_reads.sent, with_no_reads.sent)
+      << "reads generated network traffic";
+  EXPECT_EQ(with_thousand_reads.sent, with_no_reads.sent)
       << "reads generated network traffic";
 }
 
