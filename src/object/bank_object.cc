@@ -9,10 +9,8 @@ namespace cht::object {
 std::string BankState::fingerprint() const {
   std::string out;
   for (const auto& [account, amount] : accounts_) {
-    out += account;
-    out += '=';
-    out += std::to_string(amount);
-    out += ';';
+    append_field(out, account);
+    append_field(out, std::to_string(amount));
   }
   return out;
 }

@@ -7,10 +7,8 @@ namespace cht::object {
 std::string KVState::fingerprint() const {
   std::string out;
   for (const auto& [k, v] : entries_) {
-    out += k;
-    out += '=';
-    out += v;
-    out += ';';
+    append_field(out, k);
+    append_field(out, v);
   }
   return out;
 }

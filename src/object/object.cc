@@ -29,4 +29,10 @@ std::string arg_field(const std::string& arg, int index) {
                                   : arg.substr(start, end - start);
 }
 
+void append_field(std::string& out, std::string_view field) {
+  out += std::to_string(field.size());
+  out += ':';
+  out += field;
+}
+
 }  // namespace cht::object

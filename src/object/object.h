@@ -16,6 +16,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace cht::object {
 
@@ -37,13 +38,17 @@ struct Operation {
 using Response = std::string;
 
 // Mutable object state. Cloneable for snapshots (checker, new-leader catch
-// up) and fingerprintable for checker memoization.
+// up) and fingerprintable for the linearizability checker.
 class ObjectState {
  public:
   virtual ~ObjectState() = default;
   virtual std::unique_ptr<ObjectState> clone() const = 0;
-  // A string that uniquely encodes the state (equal states <=> equal
-  // fingerprints).
+  // A string that encodes the state exactly: two states are equal iff their
+  // fingerprints are. The checker takes the fingerprint as a state's
+  // identity, so a collision would merge two states and could convict a
+  // linearizable history (or pass a broken one). An encoding of several
+  // strings must be injective whatever bytes they hold: length-prefix each
+  // field (append_field) rather than joining them with separators.
   virtual std::string fingerprint() const = 0;
 };
 
@@ -89,5 +94,9 @@ inline bool is_no_op(const Operation& op) { return op.kind == "noop"; }
 // --- Argument codec helpers (colon-separated fields) -----------------------
 std::string encode_args(std::initializer_list<std::string> fields);
 std::string arg_field(const std::string& arg, int index);
+
+// Appends `field` to a fingerprint as "<length>:<bytes>", so a sequence of
+// fields decodes one way only, whatever characters they contain.
+void append_field(std::string& out, std::string_view field);
 
 }  // namespace cht::object

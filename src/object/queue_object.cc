@@ -6,10 +6,7 @@ namespace cht::object {
 
 std::string QueueState::fingerprint() const {
   std::string out;
-  for (const auto& item : items_) {
-    out += item;
-    out += '|';
-  }
+  for (const auto& item : items_) append_field(out, item);
   return out;
 }
 
