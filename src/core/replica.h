@@ -3,14 +3,16 @@
 // Each Replica is one of the paper's n processes. The paper structures a
 // process as three parallel threads; in this event-driven runtime they map
 // to:
-//   Thread 1 (client operations)  -> submit_rmw / submit_read + retry timers
-//   Thread 2 (leader loop)        -> the per-process tick (every delta: Omega,
-//                                    the ELS renewal, the AmLeader poll and
-//                                    gap fill) plus the leader's steady timer,
-//                                    driving a state machine (Collecting ->
-//                                    Fetching -> initial DoOps -> Steady,
-//                                    DoOps nested)
+//   Thread 1 (client operations)  -> submit_rmw / submit_read
+//   Thread 2 (leader loop)        -> the per-process tick, driving a state
+//                                    machine (Collecting -> Fetching ->
+//                                    initial DoOps -> Steady, DoOps nested)
 //   Thread 3 (message handling)   -> on_message dispatch
+// The tick, every delta, is the replica's only periodic timer: Omega, the
+// ELS renewal, the AmLeader poll, one pass of the steady leader's loop, the
+// resends of every unanswered EstReq, Prepare, RMW and forwarded read, and
+// gap fill. Only the protocol's deadlines (the commit gate, the lease-expiry
+// wait and commit-wait) arm one-shot timers.
 //
 // Black code (consensus for RMW operations): EstReq/EstReply, Prepare/
 // PrepareAck, Commit, batch fetch. Red code (read leases): LeaseGrant,
@@ -134,7 +136,7 @@ class Replica : public sim::Process {
     bool waiting_expiry = false;
     bool commit_waited = false;  // Spanner-style commit_wait performed
     bool initial = false;
-    sim::EventHandle resend_timer;
+    RealTime prepares_sent;  // last Prepare broadcast, for the resend
     sim::EventHandle gate_timer;
     sim::EventHandle expiry_timer;
   };
@@ -142,11 +144,11 @@ class Replica : public sim::Process {
   struct PendingRmw {
     object::Operation op;
     Callback callback;
-    sim::EventHandle retry_timer;
     // Degraded read riding the RMW path while this replica is clock-suspect:
     // counted as a read on completion, not as an RMW.
     bool is_read = false;
     RealTime invoked = RealTime::min();
+    RealTime sent = RealTime::zero();  // last RmwRequest, for the resend
   };
 
   struct PendingRead {
@@ -158,9 +160,14 @@ class Replica : public sim::Process {
     bool counted_blocked = false;
   };
 
-  // Thread-2 driving: Omega's and the ELS's interval work, the AmLeader
-  // poll (line 20) and gap fill, once every delta.
+  // Thread-2 driving, once every delta: Omega's and the ELS's interval work,
+  // the AmLeader poll (line 20) or one pass of the reign's current phase,
+  // the resends and gap fill.
   void tick();
+  // Whether a send made at `last` is due again: `ticks` deltas of real time
+  // have passed since.
+  bool resend_due(RealTime last, int ticks) const;
+  void resend_client_requests();
   void become_leader(LocalTime t);
   void abdicate();
   bool check_still_leader();  // AmLeader(leader_time_, now); abdicates if not
@@ -189,9 +196,9 @@ class Replica : public sim::Process {
   void check_leaseholder_gate();
   void finish_doops();
 
-  // Steady-state leader loop (lines 39-51).
+  // Steady-state leader loop (lines 39-51), one pass per tick.
   void enter_steady();
-  void steady_tick();
+  void steady_pass();
   void issue_leases(LocalTime now);
   void maybe_start_next_batch();
 
@@ -306,7 +313,7 @@ class Replica : public sim::Process {
     object::Operation op;
     Callback callback;
     RealTime invoked;
-    sim::EventHandle retry_timer;
+    RealTime sent = RealTime::zero();  // last ReadRequest, for the resend
   };
   std::int64_t read_seq_ = 0;
   std::map<OperationId, ForwardedRead> forwarded_reads_;
@@ -321,8 +328,7 @@ class Replica : public sim::Process {
   BatchNumber leader_next_batch_ = 1;
   std::map<OperationId, object::Operation> next_ops_;
   std::optional<DoOpsState> doops_;
-  sim::EventHandle estreq_timer_;
-  sim::EventHandle steady_timer_;
+  RealTime est_reqs_sent_;                   // last EstReq, for the resend
   RealTime last_commit_rebroadcast_ = RealTime::zero();
 };
 

@@ -84,9 +84,9 @@ const std::vector<CorpusEntry>& corpus() {
        "raft-lease anchor + stickiness stale read"},
       // High-churn seeds (many leadership changes) for the remaining stacks,
       // picked from sweep metrics: eventful but historically clean.
-      {"chtread", "leader-hunter", "bank", 7, "b839268ff19cd55f",
+      {"chtread", "leader-hunter", "bank", 7, "8384f5fc70f2501b",
        "high-churn coverage"},
-      {"chtread", "rolling-partitions", "queue", 17, "2036b21838f0f478",
+      {"chtread", "rolling-partitions", "queue", 17, "a1e7dbb8c7a67785",
        "high-churn coverage"},
       {"raft", "leader-hunter", "counter", 11, "6731c449ebee2bec",
        "high-churn coverage"},
@@ -103,7 +103,7 @@ const std::vector<CorpusEntry>& corpus() {
       // Restart-heavy coverage for the storage-replay recovery paths: every
       // stack through the power-cycle profile, exercising unsynced-write
       // loss, log tearing and the durability invariant on each run.
-      {"chtread", "power-cycle", "kv", 3, "596e6232fcbae268",
+      {"chtread", "power-cycle", "kv", 3, "ab273a7c2335f869",
        "power-cycle recovery coverage"},
       {"raft", "power-cycle", "bank", 5, "9e34a655be312eec",
        "power-cycle recovery coverage"},
@@ -116,14 +116,14 @@ const std::vector<CorpusEntry>& corpus() {
       // batch, ELS counter) dies with the crash, so any ack that left before
       // its covering sync would surface here as a durability violation. 0.0
       // is the opposite trap: state the replica never acked comes back.
-      {"chtread", "power-cycle", "kv", 14, "8f25bea75f64ae67",
+      {"chtread", "power-cycle", "kv", 14, "a0c2b0fa688f9c18",
        "key-loss=1.0 boundary pin", 1.0},
       {"raft", "power-cycle", "kv", 15, "9b0ff57ccc7e5fe2",
        "key-loss=0.0 boundary pin", 0.0},
       // Crash-loop coverage: the same victim bounced repeatedly with
       // downtimes shorter than recovery, stressing incarnation-namespaced
       // OperationIds and mid-recovery re-crash handling.
-      {"chtread", "crash-loop", "kv", 6, "e6baefb38b4300a1",
+      {"chtread", "crash-loop", "kv", 6, "b6f6d04e9c53539e",
        "crash-loop incarnation churn"},
       {"vr", "crash-loop", "counter", 8, "9a068c3b387ccc30",
        "crash-loop mid-recovery re-crash"},
@@ -138,7 +138,7 @@ const std::vector<CorpusEntry>& corpus() {
       // cycles — a double-apply would show up as a wrong counter value.
       {"raft", "leader-hunter", "kv", 7, "351a4c9d0f72e2d4",
        "client retry/redirect churn", 0.5, true},
-      {"chtread", "crash-loop", "kv", 3, "89900ed94081b0b9",
+      {"chtread", "crash-loop", "kv", 3, "95eb56d136f6b163",
        "session-table rebuild through crash loops", 0.5, true},
       {"vr", "power-cycle", "counter", 6, "0843f0fc82adcc92",
        "session dedup across power cycles", 0.5, true},
@@ -148,9 +148,9 @@ const std::vector<CorpusEntry>& corpus() {
       // fails the run); the guard-off twin of the first cell pins the legacy
       // RMW-sub-history accounting on the *same schedule*, so a behaviour
       // drift between the two modes shows up as exactly one cell flipping.
-      {"chtread", "clock-storm", "kv", 21, "847248a850f4f978",
+      {"chtread", "clock-storm", "kv", 21, "f5cca7d36caa9f62",
        "guard-on exposure-window accounting pin"},
-      {"chtread", "clock-storm", "kv", 21, "d0ce4a48fa815b65",
+      {"chtread", "clock-storm", "kv", 21, "fe442d016cd58a75",
        "guard-off legacy stale-read accounting pin", 0.5, false, false},
       {"raft-lease", "degraded-reads", "kv", 5, "2dc61b3e469af4fd",
        "lease demotion to ReadIndex under pure-skew nemesis"},

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "checker/linearizability.h"
 #include "harness/cluster.h"
@@ -40,8 +41,8 @@ TEST(ReplicaBasicTest, ElectsASteadyLeader) {
 }
 
 // One timer per replica per delta: the tick runs Omega, the ELS renewal,
-// the leader check and gap fill. Once a cluster is idle and converged, the
-// only other timer is the steady leader's delta/4 loop.
+// the leader check or the steady leader's loop, every resend and gap fill.
+// Once a cluster is idle and converged, no other timer fires.
 TEST(ReplicaBasicTest, IdleClusterFiresOneTickPerReplicaPerDelta) {
   Cluster cluster(small_cluster(), std::make_shared<object::RegisterObject>());
   ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
@@ -59,9 +60,29 @@ TEST(ReplicaBasicTest, IdleClusterFiresOneTickPerReplicaPerDelta) {
     ++events;
   }
   const std::int64_t timers = events - (stats.delivered - delivered);
-  EXPECT_EQ(timers, kIntervals * (cluster.n() + 4))
-      << "expected one tick per replica and four steady-loop firings per "
-         "delta";
+  EXPECT_EQ(timers, kIntervals * cluster.n())
+      << "expected one tick per replica per delta";
+}
+
+// Gap fill is for lost or late Commits. Under a light, loss-free write load
+// (one write per 10 delta, as in E1) no follower ever asks for a batch: the
+// leader's idle lease renewals leave on the replicas' shared tick grid, so a
+// LeaseGrant naming batch k cannot reach a follower's tick before Commit(k).
+TEST(ReplicaBasicTest, LightWriteLoadSendsNoBatchRequests) {
+  Cluster cluster(small_cluster(), std::make_shared<object::RegisterObject>());
+  ASSERT_TRUE(cluster.await_steady_leader(Duration::seconds(5)));
+  cluster.run_for(Duration::seconds(1));
+  const auto& stats = cluster.sim().network().stats();
+  const std::int64_t requests = stats.sent_of("core.batchrequest");
+  constexpr int kWrites = 50;
+  for (int i = 0; i < kWrites; ++i) {
+    cluster.submit(i % cluster.n(),
+                   object::RegisterObject::write("v" + std::to_string(i)));
+    cluster.run_for(10 * cluster.replica_config().delta);
+  }
+  ASSERT_TRUE(cluster.await_quiesce(Duration::seconds(5)));
+  EXPECT_EQ(cluster.completed(), static_cast<std::size_t>(kWrites));
+  EXPECT_EQ(stats.sent_of("core.batchrequest") - requests, 0);
 }
 
 TEST(ReplicaBasicTest, CommitsAnRmwAndRespondsOnce) {
