@@ -50,14 +50,13 @@ double pql_per_period(int n) {
   sc.network.delta = Duration::millis(10);
   sc.network.delta_min = Duration::micros(500);
   sim::Simulation sim(sc);
-  baselines::PqlConfig config;
   for (int i = 0; i < n; ++i) {
-    sim.add_process(std::make_unique<baselines::PqlProcess>(config));
+    sim.add_process(std::make_unique<baselines::PqlProcess>());
   }
   sim.start();
   sim.run_until(RealTime::zero() + Duration::millis(300));
   const auto before = sim.network().stats().sent;
-  sim.run_until(sim.now() + config.renewal_interval * 20);
+  sim.run_until(sim.now() + baselines::PqlProcess::kRenewalInterval * 20);
   return static_cast<double>(sim.network().stats().sent - before) / 20.0;
 }
 

@@ -7,6 +7,13 @@
 
 namespace cht::baselines {
 
+namespace {
+constexpr Duration kSessionTtl = Duration::millis(120);
+constexpr Duration kKeepaliveInterval = Duration::millis(30);
+// A writer re-asks Chubby about its stragglers this often.
+constexpr Duration kQueryRetry = Duration::millis(20);
+}  // namespace
+
 // ===========================================================================
 // ChubbyService
 // ===========================================================================
@@ -41,14 +48,14 @@ void ChubbyService::on_message(const sim::Message& message) {
 }
 
 void ChubbyService::on(ProcessId client, const chubby_msg::KeepAlive&) {
-  session_expiry_.at(client.index()) = now_local() + config_.session_ttl;
+  session_expiry_.at(client.index()) = now_local() + kSessionTtl;
   // Durable before the grant leaves: a restarted service must not think a
   // granted, still-running session has expired. KeepAlives from several
   // clients pending in one group-commit window share a covering sync and
   // their grants leave as one burst.
   persist_session(client.index());
   request_sync([this, client] {
-    send(client, chubby_msg::LeaseGrant{config_.session_ttl});
+    send(client, chubby_msg::LeaseGrant{kSessionTtl});
   });
 }
 
@@ -67,7 +74,7 @@ void MegastoreNode::keepalive_tick() {
   if (keepalives_enabled_) {
     send(chubby_, chubby_msg::KeepAlive{});
   }
-  schedule_after(config_.keepalive_interval, [this] { keepalive_tick(); });
+  schedule_after(kKeepaliveInterval, [this] { keepalive_tick(); });
 }
 
 void MegastoreNode::begin_write(std::set<int> non_ackers) {
@@ -95,7 +102,7 @@ void MegastoreNode::query_tick(std::int64_t write_seq) {
     send(chubby_, chubby_msg::Query{subject, qid});
   }
   it->second.retry_timer = schedule_after(
-      config_.query_retry, [this, write_seq] { query_tick(write_seq); });
+      kQueryRetry, [this, write_seq] { query_tick(write_seq); });
 }
 
 void MegastoreNode::on_message(const sim::Message& message) {

@@ -36,12 +36,6 @@
 
 namespace cht::baselines {
 
-struct ChubbyConfig {
-  Duration session_ttl = Duration::millis(120);
-  Duration keepalive_interval = Duration::millis(30);
-  Duration query_retry = Duration::millis(20);
-};
-
 namespace chubby_msg {
 
 struct KeepAlive {
@@ -68,8 +62,6 @@ struct QueryReply {
 // it; its own fault tolerance is out of scope here).
 class ChubbyService : public sim::Process {
  public:
-  explicit ChubbyService(ChubbyConfig config) : config_(config) {}
-
   void on_start() override;
   // Session expiries are the service's acceptor-like state: a granted TTL is
   // synced before the grant leaves, and a restarted service replays them —
@@ -87,7 +79,6 @@ class ChubbyService : public sim::Process {
   void on(ProcessId from, const chubby_msg::Query& query);
   void persist_session(int client);
 
-  ChubbyConfig config_;
   std::vector<LocalTime> session_expiry_;
 };
 
@@ -95,8 +86,7 @@ class ChubbyService : public sim::Process {
 // acting as the writer, runs the invalidation protocol for a write.
 class MegastoreNode : public sim::Process {
  public:
-  MegastoreNode(ProcessId chubby, ChubbyConfig config)
-      : chubby_(chubby), config_(config) {}
+  explicit MegastoreNode(ProcessId chubby) : chubby_(chubby) {}
 
   void on_start() override;
   void on_message(const sim::Message& message) override;
@@ -129,7 +119,6 @@ class MegastoreNode : public sim::Process {
   void query_tick(std::int64_t write_seq);
 
   ProcessId chubby_;
-  ChubbyConfig config_;
   bool keepalives_enabled_ = true;
   std::int64_t query_seq_ = 0;
   std::int64_t write_seq_ = 0;

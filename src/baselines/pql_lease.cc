@@ -8,6 +8,18 @@
 
 namespace cht::baselines {
 
+namespace {
+constexpr Duration kLeaseDuration = Duration::millis(120);
+// One-way delay budget: a grantor's guarantee expires at the grantor no
+// later than at the leaseholder.
+constexpr Duration kGuard = Duration::millis(10);
+// After a revocation, guarantees already in flight (issued before the
+// revoke) must not resurrect the lease; the leaseholder ignores incoming
+// guarantees for this long (< kRenewalInterval, so the next full renewal
+// round re-establishes the lease).
+constexpr Duration kRevokeQuiet = Duration::millis(25);
+}  // namespace
+
 void PqlProcess::on_start() {
   guarantee_expiry_.assign(cluster_size(), RealTime::min());
   renewal_tick();
@@ -37,7 +49,7 @@ void PqlProcess::renewal_tick() {
   request_sync([this, round] {
     broadcast(msg::Promise{round});
   });
-  schedule_after(config_.renewal_interval, [this] { renewal_tick(); });
+  schedule_after(kRenewalInterval, [this] { renewal_tick(); });
 }
 
 bool PqlProcess::lease_active() {
@@ -68,7 +80,7 @@ void PqlProcess::begin_write() {
   write.acked[id().index()] = true;
   const std::int64_t seq = write.seq;
   write.expiry_timer =
-      schedule_after(config_.lease_duration + config_.guard, [this, seq] {
+      schedule_after(kLeaseDuration + kGuard, [this, seq] {
         for (auto& w : pending_writes_) {
           if (w.seq == seq) {
             std::fill(w.acked.begin(), w.acked.end(), true);
@@ -115,7 +127,7 @@ void PqlProcess::on(ProcessId from, const msg::PromiseAck& ack) {
 
 void PqlProcess::on(ProcessId from, const msg::Guarantee& guarantee) {
   if (now_real() >= revoke_quiet_until_) {
-    guarantee_expiry_[from.index()] = now_real() + config_.lease_duration;
+    guarantee_expiry_[from.index()] = now_real() + kLeaseDuration;
   }
   send(from, msg::GuaranteeAck{guarantee.round});
 }
@@ -124,7 +136,7 @@ void PqlProcess::on(ProcessId from, const msg::Revoke& revoke) {
   // Drop every guarantee and ignore in-flight ones: reads stop being
   // local until the next full renewal completes.
   guarantee_expiry_.assign(cluster_size(), RealTime::min());
-  revoke_quiet_until_ = now_real() + config_.revoke_quiet;
+  revoke_quiet_until_ = now_real() + kRevokeQuiet;
   send(from, msg::RevokeAck{revoke.write_seq});
 }
 

@@ -33,24 +33,6 @@
 
 namespace cht::baselines {
 
-struct PqlConfig {
-  Duration renewal_interval = Duration::millis(30);
-  Duration lease_duration = Duration::millis(120);
-  // One-way delay budget used for the guard that a grantor's guarantee
-  // expires at the grantor no later than at the leaseholder.
-  Duration guard = Duration::millis(10);
-  // After a revocation, guarantees already in flight (issued before the
-  // revoke) must not resurrect the lease; the leaseholder ignores incoming
-  // guarantees for this long (< renewal_interval, so the next full renewal
-  // round re-establishes the lease).
-  Duration revoke_quiet = Duration::millis(25);
-  // Clock-health guard (core/clock_guard.h). PQL's elapsed-time timers are
-  // less clock-sensitive than synchronized-clock leases, but the simulated
-  // timers still tick on a skewable local clock, so a clock-suspect process
-  // degrades lease_active() to false (callers fall back to quorum reads).
-  core::ClockGuardConfig clock_guard;
-};
-
 namespace msg {
 
 struct Promise {
@@ -83,8 +65,15 @@ struct RevokeAck {
 // deployment the paper compares against).
 class PqlProcess : public sim::Process {
  public:
-  explicit PqlProcess(PqlConfig config)
-      : config_(config), clock_guard_(config_.clock_guard) {}
+  // Grantors start a renewal round this often.
+  static constexpr Duration kRenewalInterval = Duration::millis(30);
+
+  // PQL's elapsed-time timers are less clock-sensitive than synchronized-
+  // clock leases, but the simulated timers still tick on a skewable local
+  // clock, so a process its clock guard (core/clock_guard.h) suspects
+  // degrades lease_active() to false (callers fall back to quorum reads).
+  explicit PqlProcess(core::ClockGuardConfig clock_guard = {})
+      : clock_guard_(clock_guard) {}
 
   void on_start() override;
   // Recovers the grantor round (synced before each Promise broadcast, so a
@@ -124,8 +113,6 @@ class PqlProcess : public sim::Process {
   void on(ProcessId from, const msg::RevokeAck& ack);
   void renewal_tick();
   void maybe_finish_write();
-
-  PqlConfig config_;
 
   // Grantor side.
   std::int64_t round_ = 0;

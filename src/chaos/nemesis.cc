@@ -7,26 +7,38 @@
 
 namespace cht::chaos {
 
+namespace {
+
+// Fault shapes shared by every profile, in deltas of the run (nemesis.h).
+// Partitions, isolations and duplication bursts hold for 10..60 delta.
+constexpr int kHoldMinDeltas = 10;
+constexpr int kHoldMaxDeltas = 60;
+constexpr int kLinkDelayMaxDeltas = 8;
+constexpr int kGstShiftMaxDeltas = 40;
+// A bounced process stays powered off for 10..40 delta.
+constexpr int kDowntimeMinDeltas = 10;
+constexpr int kDowntimeMaxDeltas = 40;
+// Kills one crash-loop action strings together on its victim. Its cycles
+// run much faster than a bounce: the victim is killed again before any
+// stack's recovery round (lease handshake, VR recovery quorum, Raft
+// election) can finish, with downtimes of delta/2..2 delta and up-times of
+// delta/4..delta.
+constexpr int kLoopCyclesMin = 2;
+constexpr int kLoopCyclesMax = 4;
+
+// A duration drawn uniformly from [lo, hi].
+Duration uniform(Rng& rng, Duration lo, Duration hi) {
+  return Duration::micros(rng.next_in(lo.to_micros(), hi.to_micros()));
+}
+
+}  // namespace
+
 NemesisProfile nemesis_profile(const std::string& name, Duration delta,
                                Duration epsilon) {
   NemesisProfile p;
   p.name = name;
   p.tick_min = 15 * delta;
   p.tick_max = 40 * delta;
-  p.partition_min = 10 * delta;
-  p.partition_max = 60 * delta;
-  p.link_delay_max = 8 * delta;
-  p.gst_shift_max = 40 * delta;
-  p.downtime_min = 10 * delta;
-  p.downtime_max = 40 * delta;
-  // Crash-loop cycles run much faster than a bounce: the victim is killed
-  // again before any stack's recovery round (lease handshake, VR recovery
-  // quorum, Raft election) can finish. Downtime delta/2..2*delta, up-time
-  // delta/4..delta.
-  p.loop_downtime_min = Duration::micros(delta.to_micros() / 2);
-  p.loop_downtime_max = 2 * delta;
-  p.loop_uptime_min = Duration::micros(delta.to_micros() / 4);
-  p.loop_uptime_max = delta;
   if (name == "calm") {
     return p;
   }
@@ -128,18 +140,14 @@ void Nemesis::arm(Duration active_window) {
                        profile_.w_bounce + profile_.w_crash_loop;
   if (total <= 0) return;  // calm: nothing to schedule
   tick_timer_ = cluster_.sim().after(
-      Duration::micros(rng_.next_in(profile_.tick_min.to_micros(),
-                                    profile_.tick_max.to_micros())),
-      [this] { tick(); });
+      uniform(rng_, profile_.tick_min, profile_.tick_max), [this] { tick(); });
 }
 
 void Nemesis::tick() {
   if (cluster_.sim().now() >= active_until_) return;
   act();
   tick_timer_ = cluster_.sim().after(
-      Duration::micros(rng_.next_in(profile_.tick_min.to_micros(),
-                                    profile_.tick_max.to_micros())),
-      [this] { tick(); });
+      uniform(rng_, profile_.tick_min, profile_.tick_max), [this] { tick(); });
 }
 
 int Nemesis::pick_victim() {
@@ -192,6 +200,7 @@ void Nemesis::act() {
   }
 
   sim::Simulation& sim = cluster_.sim();
+  const Duration delta = sim.network().config().delta;
   const int n = cluster_.n();
   const int a = pick_victim();
   int b = static_cast<int>(rng_.next_below(static_cast<std::uint64_t>(n - 1)));
@@ -200,8 +209,8 @@ void Nemesis::act() {
   switch (action) {
     case 0: {  // directed partition with heal
       const bool both_ways = rng_.next_bool(0.5);
-      const Duration hold = Duration::micros(rng_.next_in(
-          profile_.partition_min.to_micros(), profile_.partition_max.to_micros()));
+      const Duration hold =
+          uniform(rng_, kHoldMinDeltas * delta, kHoldMaxDeltas * delta);
       cut_links_.insert({a, b});
       sim.network().set_link_down(ProcessId(a), ProcessId(b), true);
       if (both_ways) {
@@ -226,8 +235,8 @@ void Nemesis::act() {
     }
     case 1: {  // full isolation with heal
       if (isolated_.contains(a)) break;
-      const Duration hold = Duration::micros(rng_.next_in(
-          profile_.partition_min.to_micros(), profile_.partition_max.to_micros()));
+      const Duration hold =
+          uniform(rng_, kHoldMinDeltas * delta, kHoldMaxDeltas * delta);
       isolated_.insert(a);
       sim.network().set_process_isolated(ProcessId(a), true, n);
       note("isolate p" + std::to_string(a) + " for " +
@@ -249,8 +258,8 @@ void Nemesis::act() {
       break;
     }
     case 3: {  // one-shot link delay
-      const Duration extra = Duration::micros(
-          rng_.next_in(0, profile_.link_delay_max.to_micros()));
+      const Duration extra =
+          uniform(rng_, Duration::zero(), kLinkDelayMaxDeltas * delta);
       sim.network().add_link_delay(ProcessId(a), ProcessId(b), extra);
       note("delay p" + std::to_string(a) + " -> p" + std::to_string(b) +
            " by " + std::to_string(extra.to_millis_f()) + "ms");
@@ -268,8 +277,8 @@ void Nemesis::act() {
       break;
     }
     case 5: {  // GST shift: re-open the asynchronous period
-      const Duration shift = Duration::micros(
-          rng_.next_in(0, profile_.gst_shift_max.to_micros()));
+      const Duration shift =
+          uniform(rng_, Duration::zero(), kGstShiftMaxDeltas * delta);
       const RealTime new_gst = sim.now() + shift;
       if (new_gst > sim.network().config().gst) {
         sim.network().set_gst(new_gst);
@@ -281,8 +290,8 @@ void Nemesis::act() {
       if (duplication_on_) break;
       duplication_on_ = true;
       sim.network().set_pre_gst_duplicate_probability(0.3);
-      const Duration hold = Duration::micros(rng_.next_in(
-          profile_.partition_min.to_micros(), profile_.partition_max.to_micros()));
+      const Duration hold =
+          uniform(rng_, kHoldMinDeltas * delta, kHoldMaxDeltas * delta);
       note("duplication on for " + std::to_string(hold.to_millis_f()) + "ms");
       sim.after(hold, [this] {
         if (duplication_on_) {
@@ -316,8 +325,8 @@ void Nemesis::act() {
     case 8: {  // bounce: crash now, restart after a drawn powered-off spell
       const int budget = std::min(profile_.max_crashes, (n - 1) / 2);
       if (down_now() >= budget || cluster_.crashed(a)) break;
-      const Duration downtime = Duration::micros(rng_.next_in(
-          profile_.downtime_min.to_micros(), profile_.downtime_max.to_micros()));
+      const Duration downtime =
+          uniform(rng_, kDowntimeMinDeltas * delta, kDowntimeMaxDeltas * delta);
       ++crashes_;
       pending_restarts_.insert(a);
       sim.crash(ProcessId(a));
@@ -335,10 +344,9 @@ void Nemesis::act() {
                 // recovery over a half-recovered predecessor's storage.
       const int budget = std::min(profile_.max_crashes, (n - 1) / 2);
       if (down_now() >= budget || cluster_.crashed(a)) break;
-      const int cycles = profile_.loop_cycles_min +
-                         static_cast<int>(rng_.next_in(
-                             0, profile_.loop_cycles_max -
-                                    profile_.loop_cycles_min));
+      const int cycles =
+          kLoopCyclesMin + static_cast<int>(rng_.next_in(
+                               0, kLoopCyclesMax - kLoopCyclesMin));
       ++crashes_;
       pending_restarts_.insert(a);
       sim.crash(ProcessId(a));
@@ -351,16 +359,13 @@ void Nemesis::act() {
 }
 
 void Nemesis::schedule_loop_restart(int p, int remaining) {
-  const Duration downtime = Duration::micros(
-      rng_.next_in(profile_.loop_downtime_min.to_micros(),
-                   profile_.loop_downtime_max.to_micros()));
-  cluster_.sim().after(downtime, [this, p, remaining] {
+  const Duration delta = cluster_.sim().network().config().delta;
+  const Duration downtime = uniform(rng_, delta / 2, 2 * delta);
+  cluster_.sim().after(downtime, [this, p, remaining, delta] {
     if (!pending_restarts_.contains(p) || !cluster_.crashed(p)) return;
     do_restart(p);
     if (remaining <= 1) return;
-    const Duration uptime = Duration::micros(
-        rng_.next_in(profile_.loop_uptime_min.to_micros(),
-                     profile_.loop_uptime_max.to_micros()));
+    const Duration uptime = uniform(rng_, delta / 4, delta);
     cluster_.sim().after(uptime, [this, p, remaining] {
       // The window may have closed or another fault consumed the crash
       // budget while we were up: end the loop rather than exceed either.

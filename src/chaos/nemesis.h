@@ -25,6 +25,15 @@
 // victim at fire time via ClusterAdapter::leader(), so it chases leadership
 // wherever it moves. Every action is appended to a human-readable schedule
 // log that repro artifacts embed verbatim.
+//
+// Every profile shapes its faults alike, in deltas of the run (the network's
+// post-GST delay bound): partitions, isolations and duplication bursts hold
+// for 10-60 delta, a link delay adds up to 8 delta, a GST shift re-opens
+// asynchrony for up to 40 delta, a bounced process stays down 10-40 delta,
+// and a crash-loop kills its victim 2-4 times with downtimes of delta/2 to
+// 2 delta and up-times of delta/4 to delta, shorter than any stack's
+// recovery round. Profiles differ in their weights, tick spacing, clock skew
+// bound and crash budget.
 #pragma once
 
 #include <cstdint>
@@ -58,27 +67,9 @@ struct NemesisProfile {
   double w_bounce = 0;
   double w_crash_loop = 0;
 
-  // Fault shaping.
-  Duration partition_min = Duration::millis(100);
-  Duration partition_max = Duration::millis(600);
-  Duration link_delay_max = Duration::millis(80);
   // Clock offsets are drawn uniformly in [-clock_skew_max, clock_skew_max];
   // beyond epsilon this knowingly breaks the paper's synchrony assumption.
   Duration clock_skew_max = Duration::zero();
-  Duration gst_shift_max = Duration::millis(400);
-  // Downtime a bounced process spends powered off before its restart.
-  Duration downtime_min = Duration::millis(100);
-  Duration downtime_max = Duration::millis(500);
-  // Crash-loop shaping: per-cycle powered-off downtime, running up-time
-  // before the next kill (both deliberately shorter than any stack's
-  // recovery round), and how many kills one crash-loop action strings
-  // together on its victim.
-  Duration loop_downtime_min = Duration::millis(5);
-  Duration loop_downtime_max = Duration::millis(20);
-  Duration loop_uptime_min = Duration::millis(2);
-  Duration loop_uptime_max = Duration::millis(10);
-  int loop_cycles_min = 2;
-  int loop_cycles_max = 4;
   // Bound on processes down at once (additionally clamped to a minority of
   // n). With restart/bounce weight this is a concurrency bound, not a total:
   // restarts refund it.

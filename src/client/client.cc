@@ -7,6 +7,14 @@
 
 namespace cht::client {
 
+namespace {
+// The first attempt's timeout and the backoff cap, in deltas, and the read
+// attempts served locally before a read escalates to a leader read.
+constexpr int kFirstTimeoutDeltas = 8;
+constexpr int kBackoffCapDeltas = 64;
+constexpr int kEscalateReadsAfter = 2;
+}  // namespace
+
 OperationId Client::submit(object::Operation op, bool is_read, Callback cb,
                            DispatchHook on_dispatch) {
   CHT_ASSERT(id().valid(), "client not attached");
@@ -56,10 +64,10 @@ void Client::send_current() {
 void Client::arm_timer() {
   timer_.cancel();
   const int doublings = std::min(current_->attempts, 8);
-  const Duration timeout =
-      std::min(Duration::micros(config_.request_timeout.to_micros()
-                                << doublings),
-               config_.backoff_cap);
+  const Duration timeout = std::min(
+      Duration::micros((kFirstTimeoutDeltas * delta_).to_micros()
+                       << doublings),
+      kBackoffCapDeltas * delta_);
   timer_ = schedule_after(timeout, [this] { on_timeout(); });
 }
 
@@ -73,7 +81,7 @@ void Client::on_timeout() {
   leader_hint_ = -1;
   metrics().add("client.retries");
   if (pending.is_read && !pending.leader_only &&
-      pending.attempts >= config_.escalate_reads_after) {
+      pending.attempts >= kEscalateReadsAfter) {
     pending.leader_only = true;
     metrics().add("client.read_escalations");
   }

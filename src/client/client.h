@@ -17,9 +17,14 @@
 //     rotation (home, home+1, ... — no randomness, so runs stay
 //     reproducible);
 //   - read fallback policy: reads go to the client's home replica first
-//     (the paper's local lease reads make that the fast path); after
-//     `escalate_reads_after` timeouts the read escalates to leader_only and
-//     chases Redirects to the leader.
+//     (the paper's local lease reads make that the fast path); after two
+//     timeouts the read escalates to leader_only and chases Redirects to
+//     the leader.
+//
+// Timeouts scale with the model's delay bound delta: the first attempt waits
+// 8 delta (a commit takes a few delta plus fsync cost, so calm runs rarely
+// retry), each retry doubles it, and 64 delta caps it so post-heal recovery
+// latency stays bounded.
 //
 // Completion, latency, retry, redirect and escalation counts land in the
 // client's registry (sim::Process::metrics) under "client.*".
@@ -40,23 +45,6 @@
 
 namespace cht::client {
 
-struct ClientConfig {
-  // Per-attempt timeout before the first backoff doubling. Generous (a
-  // commit takes a few delta plus fsync cost) so calm runs rarely retry.
-  Duration request_timeout = Duration::millis(80);
-  // Backoff cap; keeps post-heal recovery latency bounded.
-  Duration backoff_cap = Duration::millis(640);
-  // Read attempts served locally before escalating to a leader read.
-  int escalate_reads_after = 2;
-
-  static ClientConfig defaults_for(Duration delta) {
-    ClientConfig c;
-    c.request_timeout = 8 * delta;
-    c.backoff_cap = 64 * delta;
-    return c;
-  }
-};
-
 class Client : public sim::Process {
  public:
   using Callback = std::function<void(const OperationId&, const std::string&)>;
@@ -68,8 +56,8 @@ class Client : public sim::Process {
   using DispatchHook = std::function<void(const OperationId&)>;
 
   // `home` is the preferred replica index (reads go there first; rotation
-  // starts there).
-  Client(int home, ClientConfig config) : config_(config), home_(home) {}
+  // starts there); `delta` scales the retry timeouts.
+  Client(int home, Duration delta) : delta_(delta), home_(home) {}
 
   // Enqueues an operation; strictly sequential per client — the head of the
   // queue is the only request on the wire. Returns the OperationId the
@@ -106,7 +94,7 @@ class Client : public sim::Process {
   void complete(const std::string& response);
   int target_for(const Pending& pending) const;
 
-  ClientConfig config_;
+  Duration delta_;
   int home_ = 0;
   int leader_hint_ = -1;
   std::int64_t seq_ = 0;

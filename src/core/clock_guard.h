@@ -13,22 +13,22 @@
 //     send - recv         <= offset_send - offset_recv   (fast sender)
 //   and  lb = max(recv - send - delta, send - recv) <= |offset_recv - offset_send|.
 //
-// If lb exceeds the suspicion threshold (default epsilon), the pairwise skew
-// provably exceeds the model bound and the receiver marks itself
-// clock-suspect: it cannot tell which of the two clocks is wrong, and
-// degrading to a clock-free read path is always safe. The detector is
+// If lb exceeds epsilon, the pairwise skew provably exceeds the model bound
+// and the receiver marks itself clock-suspect: it cannot tell which of the
+// two clocks is wrong, and degrading to a clock-free read path is always
+// safe. The detector is
 // interval-based and assumes no synchrony beyond the model's own post-GST
 // delta: before GST, long flights can trip it spuriously, which only costs
 // read latency, never correctness. Detection is also inherently incomplete —
 // a skew of s is only witnessed by messages whose flight satisfies
-// flight > delta - s + threshold — so the chaos checker's exposure-window
+// flight > delta - s + epsilon — so the chaos checker's exposure-window
 // accounting (chaos/invariants.cc) closes windows at heal + drain, not at
 // detection alone.
 //
 // Re-qualification is lazy (no timers, so the detlint timer model stays
 // unchanged): once suspect, the first clean sample arriving at least
-// `requalify_window` (default 2*delta + epsilon) after the last bad sample —
-// measured on the receiver's own monotonic local clock — clears the state.
+// 2*delta + epsilon after the last bad sample — measured on the receiver's
+// own monotonic local clock — clears the state.
 // A clock frozen by the monotonic clamp after a heal keeps generating bad
 // evidence until it has decayed, so the window only starts counting once the
 // clock is actually healthy again.
@@ -45,23 +45,12 @@ namespace cht::core {
 
 struct ClockGuardConfig {
   bool enabled = true;
-  // Post-GST one-way delay bound used to discount flight time from the
-  // observed stamp gap.
+  // The model's post-GST one-way delay bound, discounted from the observed
+  // stamp gap as flight time.
   Duration delta = Duration::millis(10);
-  // A skew lower bound above this marks the replica clock-suspect. Defaults
-  // to epsilon: anything beyond it provably violates the model.
-  Duration suspect_threshold = Duration::millis(1);
-  // Clean-evidence span (on the local clock) required before a suspect
-  // replica re-qualifies for lease reads.
-  Duration requalify_window = Duration::millis(21);
-
-  static ClockGuardConfig defaults_for(Duration delta, Duration epsilon) {
-    ClockGuardConfig c;
-    c.delta = delta;
-    c.suspect_threshold = epsilon;
-    c.requalify_window = 2 * delta + epsilon;
-    return c;
-  }
+  // The model's clock-skew bound: a skew lower bound above it marks the
+  // replica clock-suspect.
+  Duration epsilon = Duration::millis(1);
 };
 
 class ClockSkewGuard {
@@ -83,7 +72,7 @@ class ClockSkewGuard {
   bool observe(LocalTime sent, LocalTime recv, RealTime now) {
     if (!config_.enabled || sent == LocalTime::min()) return false;
     const Duration lb = std::max(recv - sent - config_.delta, sent - recv);
-    if (lb > config_.suspect_threshold) {
+    if (lb > config_.epsilon) {
       last_bad_ = std::max(last_bad_, recv);
       if (!suspect_) {
         suspect_ = true;
@@ -92,7 +81,7 @@ class ClockSkewGuard {
       }
       return false;
     }
-    if (suspect_ && recv - last_bad_ >= config_.requalify_window) {
+    if (suspect_ && recv - last_bad_ >= 2 * config_.delta + config_.epsilon) {
       suspect_ = false;
       transitions_.push_back({now, false});
       return true;

@@ -106,7 +106,7 @@ struct Config {
     c.omega.timeout = 4 * delta + epsilon;
     c.els.support_duration = 8 * delta;
     c.els.history_horizon = 100 * delta;
-    c.clock_guard = ClockGuardConfig::defaults_for(delta, epsilon);
+    c.clock_guard = {.enabled = true, .delta = delta, .epsilon = epsilon};
     return c;
   }
 

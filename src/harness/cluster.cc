@@ -41,8 +41,8 @@ StackCluster<Stack>::StackCluster(
     sim_.add_process(std::make_unique<Replica>(model_, replica_config_));
   }
   for (int j = 0; j < config_.clients; ++j) {
-    sim_.add_client(std::make_unique<client::Client>(
-        j % config_.n, client::ClientConfig::defaults_for(config_.delta)));
+    sim_.add_client(
+        std::make_unique<client::Client>(j % config_.n, config_.delta));
   }
   sim_.start();
 }

@@ -15,9 +15,9 @@ raft::RaftConfig RaftStack::make_config(const ClusterConfig& cluster,
                                         Options mode) {
   raft::RaftConfig config = raft::RaftConfig::defaults_for(cluster.delta);
   config.read_mode = mode;
-  config.clock_guard =
-      core::ClockGuardConfig::defaults_for(cluster.delta, cluster.epsilon);
-  config.clock_guard.enabled = cluster.clock_guard;
+  config.clock_guard = {.enabled = cluster.clock_guard,
+                        .delta = cluster.delta,
+                        .epsilon = cluster.epsilon};
   return config;
 }
 

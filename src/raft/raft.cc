@@ -15,6 +15,10 @@ namespace {
 constexpr const char* kKeyTerm = "term";
 constexpr const char* kKeyVote = "vote";
 
+// A client operation is re-sent after this many heartbeat intervals (4
+// delta) without an answer.
+constexpr int kClientRetryHeartbeats = 4;
+
 std::string encode_entry(const LogEntry& e) {
   return sim::encode_fields({std::to_string(e.term),
                              std::to_string(e.id.process.index()),
@@ -453,7 +457,8 @@ void RaftReplica::client_send(const OperationId& id) {
     }
   }
   it->second.retry_timer =
-      schedule_after(config_.client_retry, [this, id] { client_send(id); });
+      schedule_after(kClientRetryHeartbeats * config_.heartbeat_interval,
+                     [this, id] { client_send(id); });
 }
 
 void RaftReplica::on(ProcessId /*from*/, const msg::ClientRmw& rmw) {

@@ -51,7 +51,6 @@ struct RaftConfig {
   Duration heartbeat_interval = Duration::millis(10);
   Duration election_timeout_min = Duration::millis(100);
   Duration election_timeout_max = Duration::millis(200);
-  Duration client_retry = Duration::millis(40);
   ReadMode read_mode = ReadMode::kReadIndex;
   // Clock-health guard (core/clock_guard.h). Only kLeaderLease reads depend
   // on clocks, so only they degrade (to the ReadIndex round) while the
@@ -63,7 +62,6 @@ struct RaftConfig {
     c.heartbeat_interval = delta;
     c.election_timeout_min = 10 * delta;
     c.election_timeout_max = 20 * delta;
-    c.client_retry = 4 * delta;
     return c;
   }
 };

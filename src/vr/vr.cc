@@ -6,6 +6,12 @@
 
 namespace cht::vr {
 
+namespace {
+// A client operation is re-sent after this many heartbeat intervals (4
+// delta) without an answer.
+constexpr int kClientRetryHeartbeats = 4;
+}  // namespace
+
 VrReplica::VrReplica(std::shared_ptr<const object::ObjectModel> model,
                      VrConfig config)
     : model_(std::move(model)), config_(config) {}
@@ -442,7 +448,8 @@ void VrReplica::client_send(const OperationId& id) {
     send(primary, request);
   }
   it->second.retry_timer =
-      schedule_after(config_.client_retry, [this, id] { client_send(id); });
+      schedule_after(kClientRetryHeartbeats * config_.heartbeat_interval,
+                     [this, id] { client_send(id); });
 }
 
 // ===========================================================================

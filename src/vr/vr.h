@@ -41,13 +41,11 @@ namespace cht::vr {
 struct VrConfig {
   Duration heartbeat_interval = Duration::millis(10);   // leader commit msgs
   Duration view_change_timeout = Duration::millis(100); // follower patience
-  Duration client_retry = Duration::millis(40);
 
   static VrConfig defaults_for(Duration delta) {
     VrConfig c;
     c.heartbeat_interval = delta;
     c.view_change_timeout = 10 * delta;
-    c.client_retry = 4 * delta;
     return c;
   }
 };

@@ -27,8 +27,9 @@ LocalTime lt(std::int64_t ms) { return LocalTime::zero() + Duration::millis(ms);
 RealTime rt(std::int64_t ms) { return RealTime::zero() + Duration::millis(ms); }
 
 ClockGuardConfig guard_config() {
-  return ClockGuardConfig::defaults_for(Duration::millis(10),
-                                        Duration::millis(1));
+  return {.enabled = true,
+          .delta = Duration::millis(10),
+          .epsilon = Duration::millis(1)};
 }
 
 // --- Evidence soundness ------------------------------------------------------
@@ -88,7 +89,7 @@ TEST(ClockSkewGuardTest, DisabledGuardNeverSuspects) {
 // --- Re-qualification --------------------------------------------------------
 
 TEST(ClockSkewGuardTest, RequalifiesOnlyAfterCleanWindow) {
-  ClockSkewGuard guard(guard_config());  // requalify_window = 21ms
+  ClockSkewGuard guard(guard_config());  // 2 * delta + epsilon = 21ms
   ASSERT_TRUE(guard.observe(lt(0), lt(15), rt(15)));  // bad at local 15ms
   // Clean samples inside the window keep it suspect.
   EXPECT_FALSE(guard.observe(lt(20), lt(25), rt(25)));
@@ -236,11 +237,11 @@ TEST(ClockGuardPqlTest, SuspectProcessReportsLeaseInactive) {
   sc.network.delta = Duration::millis(5);
   sc.network.delta_min = Duration::micros(200);
   sim::Simulation sim(sc);
-  baselines::PqlConfig config;
-  config.clock_guard =
-      ClockGuardConfig::defaults_for(Duration::millis(5), Duration::millis(1));
+  const ClockGuardConfig guard{.enabled = true,
+                               .delta = Duration::millis(5),
+                               .epsilon = Duration::millis(1)};
   for (int i = 0; i < 5; ++i) {
-    sim.add_process(std::make_unique<baselines::PqlProcess>(config));
+    sim.add_process(std::make_unique<baselines::PqlProcess>(guard));
   }
   sim.start();
   sim.run_until(RealTime::zero() + Duration::millis(200));

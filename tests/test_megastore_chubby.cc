@@ -13,7 +13,6 @@
 namespace cht {
 namespace {
 
-using baselines::ChubbyConfig;
 using baselines::ChubbyService;
 using baselines::MegastoreNode;
 
@@ -21,10 +20,9 @@ struct Fixture {
   sim::Simulation sim;
   // Process 0: Chubby. Processes 1..4: Megastore nodes.
   explicit Fixture(std::uint64_t seed = 1) : sim(make_config(seed)) {
-    ChubbyConfig config;
-    sim.add_process(std::make_unique<ChubbyService>(config));
+    sim.add_process(std::make_unique<ChubbyService>());
     for (int i = 1; i <= 4; ++i) {
-      sim.add_process(std::make_unique<MegastoreNode>(ProcessId(0), config));
+      sim.add_process(std::make_unique<MegastoreNode>(ProcessId(0)));
     }
     sim.start();
   }
@@ -48,7 +46,7 @@ TEST(MegastoreChubbyTest, SessionsEstablishAndExpire) {
   f.run(Duration::millis(100));
   EXPECT_TRUE(f.chubby().session_alive(1));
   f.node(1).stop_keepalives();
-  f.run(Duration::millis(300));  // > session_ttl
+  f.run(Duration::millis(300));  // > the 120ms session TTL
   EXPECT_FALSE(f.chubby().session_alive(1));
   EXPECT_TRUE(f.chubby().session_alive(2));
 }

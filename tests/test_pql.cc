@@ -9,16 +9,14 @@
 namespace cht {
 namespace {
 
-using baselines::PqlConfig;
 using baselines::PqlProcess;
 
 struct PqlFixture {
   sim::Simulation sim;
   explicit PqlFixture(int n, std::uint64_t seed = 1)
       : sim(make_config(seed)) {
-    PqlConfig config;
     for (int i = 0; i < n; ++i) {
-      sim.add_process(std::make_unique<PqlProcess>(config));
+      sim.add_process(std::make_unique<PqlProcess>());
     }
     sim.start();
   }
