@@ -86,6 +86,12 @@ RealTime EventQueue::next_event_time() const {
   return heap_.empty() ? RealTime::max() : heap_.top().at;
 }
 
+void EventQueue::advance_to(RealTime t) {
+  CHT_ASSERT(t >= now_, "event queue time went backwards");
+  CHT_ASSERT(next_event_time() > t, "advance_to would skip a pending event");
+  now_ = t;
+}
+
 bool EventQueue::step() {
   drop_stale();
   if (heap_.empty()) return false;

@@ -76,6 +76,10 @@ class EventQueue {
   // the queue is empty.
   bool step();
 
+  // Moves the queue clock forward to `t` without running anything. No
+  // pending event may precede `t`.
+  void advance_to(RealTime t);
+
   RealTime now() const { return now_; }
   bool empty() const;
   std::size_t size() const { return heap_.size(); }  // includes stale keys

@@ -60,6 +60,7 @@ void Simulation::run_until(RealTime deadline) {
   while (!queue_.empty() && queue_.next_event_time() <= deadline) {
     queue_.step();
   }
+  if (deadline > now()) queue_.advance_to(deadline);
 }
 
 bool Simulation::run_until(const std::function<bool()>& pred,
@@ -69,6 +70,7 @@ bool Simulation::run_until(const std::function<bool()>& pred,
     queue_.step();
     if (pred()) return true;
   }
+  if (deadline > now()) queue_.advance_to(deadline);
   return false;
 }
 

@@ -60,9 +60,14 @@ class Simulation {
 
   // --- Execution ----------------------------------------------------------
   void step() { queue_.step(); }
+  // Runs every event due at or before `deadline`, then moves now() to the
+  // deadline: the whole window passes even when no event falls in it, so
+  // run_until(now() + d) advances by exactly d however sparse the events.
+  // A deadline before now() leaves the clock where it is.
   void run_until(RealTime deadline);
-  // Runs until pred() holds (checked after each event) or deadline passes.
-  // Returns true iff pred() held.
+  // Runs until pred() holds (checked first and after each event) or the
+  // deadline passes. Returns true iff pred() held, with now() at the event
+  // that made it hold; otherwise now() ends at the deadline, as above.
   bool run_until(const std::function<bool()>& pred, RealTime deadline);
   RealTime now() const { return queue_.now(); }
 

@@ -64,33 +64,33 @@ const std::vector<CorpusEntry>& corpus() {
       // These three exposed the missing uncommitted-tail truncation on
       // view-crossing state transfer in vr.cc (VR Revisited Section 5.2):
       // committed-prefix divergence plus stale reads from a deposed primary.
-      {"vr", "leader-hunter", "kv", 2, "a0f4a7f3c2ada26b",
+      {"vr", "leader-hunter", "kv", 2, "66665626572448bc",
        "vr state-transfer truncation bug"},
-      {"vr", "leader-hunter", "kv", 5, "bf234f96d388d5ee",
+      {"vr", "leader-hunter", "kv", 5, "843102799184281c",
        "vr state-transfer truncation bug"},
-      {"vr", "leader-hunter", "kv", 8, "ce8e83db25ef0614",
+      {"vr", "leader-hunter", "kv", 8, "afc3658a5d87889c",
        "vr state-transfer truncation bug"},
       // Same root cause surfaced through a different fault mix.
-      {"vr", "clock-storm", "kv", 6, "375b24cf2c735a2d",
+      {"vr", "clock-storm", "kv", 6, "8804a0d65113af2a",
        "vr state-transfer truncation bug"},
-      {"vr", "clock-storm", "kv", 9, "d8abf083d3f1a380",
+      {"vr", "clock-storm", "kv", 9, "37c33cabbc580143",
        "vr state-transfer truncation bug"},
       // Exposed two raft-lease read bugs at once: the lease anchored at ack
       // *receive* time (overestimates by the reply flight time) and missing
       // leader stickiness (a partitioned node's vote request deposed the
       // leader inside its own lease window). A deposed-but-leased leader
       // served a stale read.
-      {"raft-lease", "rolling-partitions", "kv", 144, "08fbf3a1457f1fc2",
+      {"raft-lease", "rolling-partitions", "kv", 144, "fffa5b01fe19b291",
        "raft-lease anchor + stickiness stale read"},
       // High-churn seeds (many leadership changes) for the remaining stacks,
       // picked from sweep metrics: eventful but historically clean.
-      {"chtread", "leader-hunter", "bank", 7, "8384f5fc70f2501b",
+      {"chtread", "leader-hunter", "bank", 7, "883355a86d5b4198",
        "high-churn coverage"},
-      {"chtread", "rolling-partitions", "queue", 17, "a1e7dbb8c7a67785",
+      {"chtread", "rolling-partitions", "queue", 17, "09b7ce17545ad6a2",
        "high-churn coverage"},
-      {"raft", "leader-hunter", "counter", 11, "6731c449ebee2bec",
+      {"raft", "leader-hunter", "counter", 11, "9994ff7f5d3dd90b",
        "high-churn coverage"},
-      {"raft", "rolling-partitions", "lock", 29, "097992318b039303",
+      {"raft", "rolling-partitions", "lock", 29, "2206504de281cfa8",
        "high-churn coverage"},
       // Exposed the recovering-counts-as-down bug: the nemesis crash budget
       // counted only crashed processes, so rolling bounces pushed a majority
@@ -98,49 +98,49 @@ const std::vector<CorpusEntry>& corpus() {
       // permanent deadlock under VR Revisited sec. 4.3's failure assumption
       // (recovery needs a majority of *normal* replicas to answer). Fixed by
       // ClusterAdapter::recovering() + Nemesis::down_now().
-      {"vr", "power-cycle", "kv", 4, "bff96adb0902b693",
+      {"vr", "power-cycle", "kv", 4, "9e057e4d427cd233",
        "vr recovering-counts-as-down deadlock"},
       // Restart-heavy coverage for the storage-replay recovery paths: every
       // stack through the power-cycle profile, exercising unsynced-write
       // loss, log tearing and the durability invariant on each run.
-      {"chtread", "power-cycle", "kv", 3, "ab273a7c2335f869",
+      {"chtread", "power-cycle", "kv", 3, "2263e016ab9cac70",
        "power-cycle recovery coverage"},
-      {"raft", "power-cycle", "bank", 5, "9e34a655be312eec",
+      {"raft", "power-cycle", "bank", 5, "de831da9c550a626",
        "power-cycle recovery coverage"},
-      {"raft-lease", "power-cycle", "counter", 9, "f7aa7ba9630ca7d5",
+      {"raft-lease", "power-cycle", "counter", 9, "0e1976310a33e836",
        "power-cycle recovery coverage"},
-      {"vr", "power-cycle", "queue", 12, "94a0b926a3eeada9",
+      {"vr", "power-cycle", "queue", 12, "3bd336add28ac861",
        "power-cycle recovery coverage"},
       // Key-loss boundary pins, one eventful seed per extreme. 1.0 is the
       // failing-shaped disk: every unsynced write (promise, estimate, log
       // batch, ELS counter) dies with the crash, so any ack that left before
       // its covering sync would surface here as a durability violation. 0.0
       // is the opposite trap: state the replica never acked comes back.
-      {"chtread", "power-cycle", "kv", 14, "a0c2b0fa688f9c18",
+      {"chtread", "power-cycle", "kv", 14, "ae82249e6490258e",
        "key-loss=1.0 boundary pin", 1.0},
-      {"raft", "power-cycle", "kv", 15, "9b0ff57ccc7e5fe2",
+      {"raft", "power-cycle", "kv", 15, "3fa946d4c527a62a",
        "key-loss=0.0 boundary pin", 0.0},
       // Crash-loop coverage: the same victim bounced repeatedly with
       // downtimes shorter than recovery, stressing incarnation-namespaced
       // OperationIds and mid-recovery re-crash handling.
-      {"chtread", "crash-loop", "kv", 6, "b6f6d04e9c53539e",
+      {"chtread", "crash-loop", "kv", 6, "c761d27e98456cdf",
        "crash-loop incarnation churn"},
-      {"vr", "crash-loop", "counter", 8, "9a068c3b387ccc30",
+      {"vr", "crash-loop", "counter", 8, "8a001317c4d6539b",
        "crash-loop mid-recovery re-crash"},
       // Client-path pins: operations travel through networked client
       // sessions, so retries, Redirect-chasing and replica-side dedup are
       // under the nemesis and the exactly-once invariant is live. Seeds
       // picked from sweep metrics as eventful-but-clean: the raft cell
-      // retries 62 times across 118 redirects (leader churn mid-request,
-      // including a deduplicated duplicate reply); the chtread cell rebuilds
-      // session tables through four crash-loop recoveries; the vr cell
-      // answers three retried RMWs from the session cache across power
-      // cycles — a double-apply would show up as a wrong counter value.
-      {"raft", "leader-hunter", "kv", 7, "351a4c9d0f72e2d4",
+      // retries 55 times across 145 redirects (leader churn mid-request);
+      // the chtread cell rebuilds session tables through four crash-loop
+      // recoveries; the vr cell answers two retried RMWs from the session
+      // cache across power cycles — a double-apply would show up as a wrong
+      // counter value.
+      {"raft", "leader-hunter", "kv", 7, "bca7d9c03556b94b",
        "client retry/redirect churn", 0.5, true},
-      {"chtread", "crash-loop", "kv", 3, "95eb56d136f6b163",
+      {"chtread", "crash-loop", "kv", 3, "ae659504aee7c51d",
        "session-table rebuild through crash loops", 0.5, true},
-      {"vr", "power-cycle", "counter", 6, "0843f0fc82adcc92",
+      {"vr", "power-cycle", "counter", 6, "a7ffc6b6763881ea",
        "session dedup across power cycles", 0.5, true},
       // Skew-boundary pins for the clock-health guard. The guard-on cells
       // are checked with full linearizability under exposure-window
@@ -148,39 +148,39 @@ const std::vector<CorpusEntry>& corpus() {
       // fails the run); the guard-off twin of the first cell pins the legacy
       // RMW-sub-history accounting on the *same schedule*, so a behaviour
       // drift between the two modes shows up as exactly one cell flipping.
-      {"chtread", "clock-storm", "kv", 21, "f5cca7d36caa9f62",
+      {"chtread", "clock-storm", "kv", 21, "82c69c6e9dd79fba",
        "guard-on exposure-window accounting pin"},
-      {"chtread", "clock-storm", "kv", 21, "fe442d016cd58a75",
+      {"chtread", "clock-storm", "kv", 21, "44a2c83133ab7462",
        "guard-off legacy stale-read accounting pin", 0.5, false, false},
-      {"raft-lease", "degraded-reads", "kv", 5, "2dc61b3e469af4fd",
+      {"raft-lease", "degraded-reads", "kv", 5, "322ad07953591581",
        "lease demotion to ReadIndex under pure-skew nemesis"},
       // Each served a stale read from a leader whose term had not yet
       // committed an entry (Raft thesis sec. 6.4): a new leader's commit
       // index can lag entries its predecessor committed, and a restarted
       // one starts at 0. Reads now wait for the term's no-op to commit.
-      {"raft-lease", "power-cycle", "kv", 203, "aca70df8ca865cc4",
+      {"raft-lease", "power-cycle", "kv", 203, "4ad6fddff98d5ecd",
        "raft read before the leader's term committed", 0.5, true, true, 80},
-      {"raft-lease", "rolling-partitions", "kv", 374, "697801057784ebee",
+      {"raft-lease", "rolling-partitions", "kv", 374, "9005bcf9d56179e8",
        "raft read before the leader's term committed", 0.5, true, true, 80},
-      {"raft-lease", "leader-hunter", "kv", 41, "ac83e529f92a9a34",
+      {"raft-lease", "leader-hunter", "kv", 41, "732c7c43a63a2038",
        "raft read before the leader's term committed", 0.5, false, true, 80},
-      {"raft-lease", "power-cycle", "kv", 1196, "8602fbecb438b59a",
+      {"raft-lease", "power-cycle", "kv", 1196, "5f547cc0d2dbedd3",
        "raft read before the leader's term committed", 0.5, true, true, 80},
-      {"raft", "power-cycle", "kv", 5404, "a48e1695dd97d7ba",
+      {"raft", "power-cycle", "kv", 5404, "209843b4dde6ce97",
        "raft read before the leader's term committed", 0.5, true, true, 80},
       // Each aborted on "StartView log shorter than applied prefix": a
       // replica that had joined view v through GetState/NewState adopted a
       // late StartView(v) whose log was shorter than its own. A replica
       // already normal in view v now ignores StartView(v).
-      {"vr", "leader-hunter", "kv", 66, "e1e680332e79afe4",
+      {"vr", "leader-hunter", "kv", 66, "826fea75fdf39bd0",
        "vr same-view StartView replaced a longer log", 0.5, true, true, 80},
-      {"vr", "crash-loop", "kv", 307, "f7389999b0fe195f",
+      {"vr", "crash-loop", "kv", 307, "e030d1d1142cad0c",
        "vr same-view StartView replaced a longer log", 0.5, true, true, 80},
-      {"vr", "rolling-partitions", "kv", 330, "e2441c81d717a86f",
+      {"vr", "rolling-partitions", "kv", 330, "ea2789f118c01f25",
        "vr same-view StartView replaced a longer log", 0.5, true, true, 80},
-      {"vr", "clock-storm", "kv", 382, "ed4e1dde7628e540",
+      {"vr", "clock-storm", "kv", 382, "a3c2a71e9d96355e",
        "vr same-view StartView replaced a longer log", 0.5, true, true, 80},
-      {"vr", "leader-hunter", "kv", 16, "a84816119aa30937",
+      {"vr", "leader-hunter", "kv", 16, "28dc0e362f10e9cf",
        "vr same-view StartView replaced a longer log", 0.5, false, true, 80},
   };
   return entries;

@@ -12,7 +12,9 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "chaos/adapter.h"
 #include "chaos/spec.h"
 #include "chaos/sweep.h"
 
@@ -110,6 +112,29 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.0, 1.0),
                        ::testing::Values(2u, 6u)),
     loss_cell_name);
+
+// The driver paces a run in simulated time alone. On the direct path with
+// no faults and no in-flight cap, nothing a stack does can skip or stall a
+// submission, so every stack must get each operation at the same instant,
+// however sparse its own events are.
+TEST(ChaosPacingTest, EveryStackGetsEachOperationAtTheSameInstant) {
+  chaos::RunSpec spec;
+  spec.profile = "calm";
+  spec.client_path = false;
+  spec.seed = 3;
+  spec.max_inflight = spec.ops;
+  std::vector<std::vector<RealTime>> invoked;
+  for (const char* protocol : {"chtread", "raft", "vr"}) {
+    spec.protocol = protocol;
+    const auto cluster = chaos::make_adapter(spec);
+    chaos::run(*cluster, spec);
+    std::vector<RealTime>& at = invoked.emplace_back();
+    for (const auto& op : cluster->history().ops()) at.push_back(op.invoked);
+  }
+  ASSERT_EQ(invoked[0].size(), static_cast<std::size_t>(spec.ops));
+  EXPECT_EQ(invoked[1], invoked[0]) << "raft";
+  EXPECT_EQ(invoked[2], invoked[0]) << "vr";
+}
 
 }  // namespace
 }  // namespace cht

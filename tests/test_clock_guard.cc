@@ -318,13 +318,6 @@ void record(checker::HistoryRecorder& h, int process, object::Operation op,
   if (id.process.valid()) h.set_id(token, id);
 }
 
-// Simulated time only advances by draining events; park a no-op so the
-// adapter's sim().now() (the exposure-window end) is past the history.
-void advance_to(sim::Simulation& sim, RealTime t) {
-  sim.after(t - sim.now(), [] {});
-  sim.run_until(t);
-}
-
 chaos::NemesisProfile stale_profile() {
   chaos::NemesisProfile p;
   p.name = "test";
@@ -347,7 +340,7 @@ chaos::ExposureInput exposure_for(std::int64_t first_skew_ms,
 // A stale read inside the exposure window is excused by the second pass.
 TEST(ExposureWindowTest, StaleReadInsideWindowIsExcused) {
   FakeAdapter fake;
-  advance_to(fake.sim_, rt(10000));
+  fake.sim_.run_until(rt(10000));
   record(fake.history_, 0, object::RegisterObject::write("a"), 100, 110, "ok");
   record(fake.history_, 0, object::RegisterObject::write("b"), 200, 210, "ok");
   // Stale read: returns "a" strictly after "b" completed, inside the skew
@@ -364,7 +357,7 @@ TEST(ExposureWindowTest, StaleReadInsideWindowIsExcused) {
 // The same stale read before any skew was injected is a real bug.
 TEST(ExposureWindowTest, StaleReadOutsideWindowFails) {
   FakeAdapter fake;
-  advance_to(fake.sim_, rt(10000));
+  fake.sim_.run_until(rt(10000));
   record(fake.history_, 0, object::RegisterObject::write("a"), 100, 110, "ok");
   record(fake.history_, 0, object::RegisterObject::write("b"), 200, 210, "ok");
   record(fake.history_, 1, object::RegisterObject::read(), 400, 410, "a");
@@ -384,7 +377,7 @@ TEST(ExposureWindowTest, StaleReadOutsideWindowFails) {
 // so a stale read wholly inside the all-suspect span is not excused.
 TEST(ExposureWindowTest, AllSuspectSpanIsCarvedOut) {
   FakeAdapter fake;
-  advance_to(fake.sim_, rt(10000));
+  fake.sim_.run_until(rt(10000));
   record(fake.history_, 0, object::RegisterObject::write("a"), 100, 110, "ok");
   record(fake.history_, 0, object::RegisterObject::write("b"), 200, 210, "ok");
   record(fake.history_, 1, object::RegisterObject::read(), 400, 410, "a");
@@ -409,7 +402,7 @@ TEST(ExposureWindowTest, AllSuspectSpanIsCarvedOut) {
 // (and tolerates the stale read unconditionally).
 TEST(ExposureWindowTest, GuardOffKeepsLegacyRmwSubhistoryCheck) {
   FakeAdapter fake;
-  advance_to(fake.sim_, rt(10000));
+  fake.sim_.run_until(rt(10000));
   record(fake.history_, 0, object::RegisterObject::write("a"), 100, 110, "ok");
   record(fake.history_, 0, object::RegisterObject::write("b"), 200, 210, "ok");
   record(fake.history_, 1, object::RegisterObject::read(), 400, 410, "a");
@@ -425,7 +418,7 @@ TEST(ExposureWindowTest, GuardOffKeepsLegacyRmwSubhistoryCheck) {
 // re-applied at check time must not be reported rolled back.
 TEST(DurabilityFallbackTest, StoredButUnappliedWriteIsNotAViolation) {
   FakeAdapter fake;
-  advance_to(fake.sim_, rt(1000));
+  fake.sim_.run_until(rt(1000));
   const OperationId id{ProcessId(0), 7};
   record(fake.history_, 0, object::RegisterObject::write("w"), 100, 110, "ok",
          id);

@@ -55,13 +55,7 @@ class RaftProtocolTest : public ::testing::Test {
     return sim_.process_as<RaftReplica>(ProcessId(4));
   }
   static ProcessId replica_id() { return ProcessId(4); }
-  void run(Duration d) {
-    // Anchor the target with a no-op event: run_until only advances now() by
-    // processing events, and several tests wait out real stretches of idle
-    // time (e.g. the leader-stickiness window).
-    sim_.after(d, [] {});
-    sim_.run_until(sim_.now() + d);
-  }
+  void run(Duration d) { sim_.run_until(sim_.now() + d); }
 
   static LogEntry entry(std::int64_t term, int proc, std::int64_t seq,
                         const std::string& value) {

@@ -213,6 +213,29 @@ TEST(SimulationTest, RunUntilPredicate) {
   const bool unreachable = sim.run_until([&] { return count >= 1'000'000; },
                                          RealTime::zero() + Duration::millis(20));
   EXPECT_FALSE(unreachable);
+  EXPECT_EQ(sim.now(), RealTime::zero() + Duration::millis(20));
+}
+
+TEST(SimulationTest, RunUntilEndsAtItsDeadline) {
+  // The last event falls before the deadline: the clock still moves to it,
+  // so a driver that runs for d advances by exactly d.
+  Simulation sim(quick_config());
+  sim.add_process(std::make_unique<Probe>());
+  sim.start();
+  bool fired = false;
+  sim.after(Duration::millis(3), [&] { fired = true; });
+  sim.run_until(RealTime::zero() + Duration::millis(10));
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.now(), RealTime::zero() + Duration::millis(10));
+  // No event at all in the window.
+  sim.run_until(sim.now() + Duration::millis(7));
+  EXPECT_EQ(sim.now(), RealTime::zero() + Duration::millis(17));
+  // An event past the deadline stays pending, after the new now().
+  sim.after(Duration::millis(5), [] {});
+  sim.run_until(sim.now() + Duration::millis(2));
+  EXPECT_EQ(sim.now(), RealTime::zero() + Duration::millis(19));
+  EXPECT_EQ(sim.queue().next_event_time(),
+            RealTime::zero() + Duration::millis(22));
 }
 
 TEST(SimulationTest, ClockOffsetsWithinEpsilon) {
