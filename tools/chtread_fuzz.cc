@@ -130,15 +130,9 @@ Options parse(int argc, char** argv) {
   // they were parsed, so a vacuous --seeds=0 or --ops=0 sweep cannot report
   // "all runs passed".)
   const auto check_name = [](const std::string& flag, const std::string& value,
-                             const std::vector<std::string>& known) {
-    if (value == "all") return;
-    for (const auto& k : known) {
-      if (value == k) return;
-    }
-    std::cerr << "unknown --" << flag << "=" << value << " (known:";
-    for (const auto& k : known) std::cerr << " " << k;
-    std::cerr << " all)\n";
-    std::exit(2);
+                             std::vector<std::string> known) {
+    known.push_back("all");
+    cli::require_one_of(flag, value, known);
   };
   if (options.repro.empty()) {
     check_name("protocol", options.protocol, chaos::known_protocols());

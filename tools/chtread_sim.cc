@@ -15,10 +15,15 @@
 //               [--ops=500] [--gst-ms=0] [--loss=0.05]
 //               [--crash-leader-at-ms=N] [--check=on|off] [--trace=N]
 //               [--metrics-out=PATH.json]
+//
+// --reads names a read mode of the chosen protocol (core-local and
+// raft-readindex by default; VR has none to choose). An unknown flag, or a
+// named value the flag does not know, exits 2 naming the known values.
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "checker/linearizability.h"
 #include "common/experiment.h"
@@ -39,7 +44,7 @@ struct Options {
   std::int64_t epsilon_ms = 1;
   std::uint64_t seed = 1;
   std::string protocol = "core";
-  std::string reads = "core-local";
+  std::string reads;  // empty = the protocol's first read mode
   std::string workload = "read-heavy";
   int ops = 500;
   std::int64_t gst_ms = 0;
@@ -49,6 +54,15 @@ struct Options {
   int trace = 0;  // dump last N protocol trace events (0 = off)
   std::string metrics_out;  // artifact path; empty = no artifact
 };
+
+// The read modes --reads may name for `protocol`; the first is the default.
+std::vector<std::string> read_modes(const std::string& protocol) {
+  if (protocol == "core") {
+    return {"core-local", "core-forward", "core-anypending"};
+  }
+  if (protocol == "raft") return {"raft-readindex", "raft-lease"};
+  return {};
+}
 
 Options parse(int argc, char** argv) {
   using cli::number;
@@ -81,7 +95,8 @@ Options parse(int argc, char** argv) {
       options.crash_leader_at_ms =
           number<std::int64_t>("crash-leader-at-ms", value);
     } else if (parse_flag(arg, "check", value)) {
-      options.check = value != "off";
+      cli::require_one_of("check", value, {"on", "off"});
+      options.check = value == "on";
     } else if (parse_flag(arg, "trace", value)) {
       options.trace = number<int>("trace", value);
     } else if (parse_flag(arg, "metrics-out", value)) {
@@ -94,6 +109,12 @@ Options parse(int argc, char** argv) {
       std::exit(2);
     }
   }
+  cli::require_one_of("protocol", options.protocol, {"core", "raft", "vr"});
+  const std::vector<std::string> modes = read_modes(options.protocol);
+  if (options.reads.empty() && !modes.empty()) options.reads = modes.front();
+  if (!options.reads.empty()) cli::require_one_of("reads", options.reads, modes);
+  cli::require_one_of("workload", options.workload,
+                      {"read-heavy", "write-heavy", "mixed"});
   return options;
 }
 
@@ -232,8 +253,9 @@ int drive(harness::StackCluster<Stack>& cluster, const Options& options,
 int main(int argc, char** argv) {
   const Options options = parse(argc, argv);
   auto model = std::make_shared<object::KVObject>();
-  std::cout << "chtread_sim: protocol=" << options.protocol
-            << " reads=" << options.reads << " n=" << options.n
+  std::cout << "chtread_sim: protocol=" << options.protocol;
+  if (!options.reads.empty()) std::cout << " reads=" << options.reads;
+  std::cout << " n=" << options.n
             << " delta=" << options.delta_ms << "ms seed=" << options.seed
             << "\n";
 
@@ -254,10 +276,6 @@ int main(int argc, char** argv) {
     harness::RaftCluster cluster(cluster_config(options), model, mode);
     return drive(cluster, options);
   }
-  if (options.protocol == "vr") {
-    harness::VrCluster cluster(cluster_config(options), model);
-    return drive(cluster, options);
-  }
-  std::cerr << "unknown protocol: " << options.protocol << "\n";
-  return 2;
+  harness::VrCluster cluster(cluster_config(options), model);
+  return drive(cluster, options);
 }

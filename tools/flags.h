@@ -1,7 +1,8 @@
 // Command-line flag parsing shared by chtread_sim and chtread_fuzz. Flags
 // take the form --name=value. A numeric value must be a number from its
-// first character to its last and at least the flag's minimum; anything
-// else is a usage error that names the flag and exits with status 2.
+// first character to its last and at least the flag's minimum, and a named
+// value one the flag knows; anything else is a usage error that names the
+// flag and exits with status 2.
 #pragma once
 
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/parse.h"
 
@@ -39,6 +41,19 @@ T number(const std::string& name, const std::string& value,
     std::exit(2);
   }
   return *parsed;
+}
+
+// Exits 2, naming the known values, unless `value` is one of them.
+inline void require_one_of(const std::string& name, const std::string& value,
+                           const std::vector<std::string>& known) {
+  for (const auto& k : known) {
+    if (value == k) return;
+  }
+  std::cerr << "unknown --" << name << "=" << value << " (known:";
+  for (const auto& k : known) std::cerr << " " << k;
+  if (known.empty()) std::cerr << " none";
+  std::cerr << ")\n";
+  std::exit(2);
 }
 
 }  // namespace cht::cli
