@@ -16,10 +16,10 @@
 // If lb exceeds epsilon, the pairwise skew provably exceeds the model bound
 // and the receiver marks itself clock-suspect: it cannot tell which of the
 // two clocks is wrong, and degrading to a clock-free read path is always
-// safe. The detector is
-// interval-based and assumes no synchrony beyond the model's own post-GST
-// delta: before GST, long flights can trip it spuriously, which only costs
-// read latency, never correctness. Detection is also inherently incomplete —
+// safe. The detector is interval-based and assumes no synchrony beyond the
+// model's own post-GST delta: before GST, long flights can trip it
+// spuriously, which only costs read latency, never correctness. Detection
+// is also inherently incomplete —
 // a skew of s is only witnessed by messages whose flight satisfies
 // flight > delta - s + epsilon — so the chaos checker's exposure-window
 // accounting (chaos/invariants.cc) closes windows at heal + drain, not at
